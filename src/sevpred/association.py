@@ -2,8 +2,10 @@
 pairwise association matrices, and threshold-based feature selection.
 
 Numeric columns take part through equal-frequency (quantile) binning, so one
-measure covers every column-type pair. Plain (uncorrected) V is the default;
-the small-sample bias correction sits behind a flag.
+measure covers every column-type pair. Category identity and order come from
+:func:`~sevpred.dataset.factorize` alone; every table is one ``bincount`` over
+the codes of its two columns. Plain (uncorrected) V is the default; the
+small-sample bias correction sits behind a flag.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ColumnKind, Table
+from .dataset import ColumnKind, Table, factorize
 from .errors import DataError, LengthMismatch
 
 DEFAULT_BINS = 10
@@ -81,27 +83,19 @@ def bin_numeric(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 def build_contingency(a, b) -> ContingencyTable:
     """Count co-occurrences of two equal-length category arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
     if len(a) != len(b):
         raise LengthMismatch(f"category arrays differ in length: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise DataError("cannot tabulate empty arrays")
-    row_labels, first_a, ai = np.unique(a, return_index=True, return_inverse=True)
-    col_labels, first_b, bi = np.unique(b, return_index=True, return_inverse=True)
-    # remap unique's sorted order to first-appearance order
-    row_order = np.argsort(first_a, kind="stable")
-    col_order = np.argsort(first_b, kind="stable")
-    flat = np.bincount(
-        ai * len(col_labels) + bi, minlength=len(row_labels) * len(col_labels)
-    )
-    counts = flat.reshape(len(row_labels), len(col_labels)).astype(np.int64)
-    counts = counts[np.ix_(row_order, col_order)]
-    return ContingencyTable(
-        counts=counts,
-        row_labels=tuple(row_labels[row_order].tolist()),
-        col_labels=tuple(col_labels[col_order].tolist()),
-    )
+    return _cross_tab(factorize(a), factorize(b))
+
+
+def _cross_tab(a: tuple, b: tuple) -> ContingencyTable:
+    """Contingency table of two equal-length factorized columns."""
+    (ai, row_labels), (bi, col_labels) = a, b
+    r, c = len(row_labels), len(col_labels)
+    counts = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
+    return ContingencyTable(counts, tuple(row_labels.tolist()), tuple(col_labels.tolist()))
 
 
 def chi_square(table: ContingencyTable) -> float:
@@ -172,13 +166,12 @@ def association_matrix(
     if table.has_missing():
         raise DataError("association_matrix requires an imputed table")
     names = table.schema.names
-    cats = {name: _categorize(table, name, n_bins) for name in names}
+    coded = [factorize(_categorize(table, name, n_bins)) for name in names]
     m = len(names)
     values = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            ct = build_contingency(cats[names[i]], cats[names[j]])
-            v = cramers_v(ct, bias_corrected=bias_corrected)
+            v = cramers_v(_cross_tab(coded[i], coded[j]), bias_corrected=bias_corrected)
             values[i, j] = v
             values[j, i] = v
     return AssociationMatrix(labels=tuple(names), values=values)
@@ -195,12 +188,12 @@ def select_features(
     if table.has_missing():
         raise DataError("select_features requires an imputed table")
     target_name = table.schema.target
-    target_cats = table.columns[target_name]
+    target = factorize(table.columns[target_name])
     scored = []
     for name in table.schema.names:
         if name == target_name:
             continue
-        ct = build_contingency(_categorize(table, name, n_bins), target_cats)
+        ct = _cross_tab(factorize(_categorize(table, name, n_bins)), target)
         scored.append((name, cramers_v(ct, bias_corrected=bias_corrected)))
     ranked = sorted(scored, key=lambda item: -item[1])
     selected = tuple(name for name, v in ranked if v >= threshold)

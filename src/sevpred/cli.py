@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv as csv_module
 import datetime
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .association import association_matrix, select_features
-from .dataset import ColumnKind, Table, impute, ingest_csv, load_schema, summarize
+from .dataset import ColumnKind, Table, atomic_write, impute, ingest_csv, load_schema, summarize
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -154,7 +154,7 @@ def _parse_set(expr: str) -> tuple[list[str], object]:
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    settings = dict(DEFAULTS)
+    settings = copy.deepcopy(DEFAULTS)
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -197,20 +197,16 @@ def _meta(stage: str) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv_module.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _load_table(config: PipelineConfig, *, imputed: bool = True) -> Table:
@@ -347,7 +343,7 @@ def stage_encode(config: PipelineConfig) -> dict:
     return {"n": latent.n, "latent_dim": latent.d, "meta": _meta("encode")}
 
 
-def _classifier_config(config: PipelineConfig, seed_label: str) -> ClassifierConfig:
+def _classifier_config(config: PipelineConfig, seed: int) -> ClassifierConfig:
     c = config["classifier"]
     return ClassifierConfig(
         initial_neurons=c["initial_neurons"],
@@ -357,7 +353,7 @@ def _classifier_config(config: PipelineConfig, seed_label: str) -> ClassifierCon
         epochs=c["epochs"],
         learning_rate=c["learning_rate"],
         use_class_weights=c["use_class_weights"],
-        seed=derive_seed(config.seed(), seed_label),
+        seed=seed,
     )
 
 
@@ -374,7 +370,7 @@ def stage_train(config: PipelineConfig) -> dict:
     features, labels, k = _load_features(config, encoded=encoded)
     splits = load_splits(_require(work / "splits.json", "sevpred preprocess"))
 
-    cfg = _classifier_config(config, f"train{suffix}")
+    cfg = _classifier_config(config, derive_seed(config.seed(), f"train{suffix}"))
     weights = _maybe_weights(config, labels[splits.train], k)
     params, history = train_classifier(
         cfg,
@@ -414,7 +410,7 @@ def stage_grid(config: PipelineConfig) -> dict:
         batch_size=tuple(g["batch_size"]),
         l2_penalty=tuple(g["l2_penalty"]),
     )
-    base = _classifier_config(config, "grid-base")
+    base = _classifier_config(config, derive_seed(config.seed(), "grid-base"))
     weights = _maybe_weights(config, labels[splits.train], k)
     results = grid_search(
         grid,
@@ -443,23 +439,12 @@ def stage_grid(config: PipelineConfig) -> dict:
     return payload
 
 
-def _cv_runner(config: PipelineConfig, k: int, seed_label: str):
-    base = config["classifier"]
-
+def _cv_runner(config: PipelineConfig, k: int):
     def runner(train_x, train_y, val_x, val_y, seed):
-        cfg = ClassifierConfig(
-            initial_neurons=base["initial_neurons"],
-            initial_dropout=base["initial_dropout"],
-            batch_size=base["batch_size"],
-            l2_penalty=base["l2_penalty"],
-            epochs=base["epochs"],
-            learning_rate=base["learning_rate"],
-            use_class_weights=base["use_class_weights"],
-            seed=seed,
-        )
-        weights = compute_class_weights(train_y, k) if base["use_class_weights"] else None
+        cfg = _classifier_config(config, seed)
         params, _ = train_classifier(
-            cfg, train_x, train_y, val_x, val_y, class_weights=weights, n_classes=k
+            cfg, train_x, train_y, val_x, val_y,
+            class_weights=_maybe_weights(config, train_y, k), n_classes=k,
         )
         spec = build_classifier(cfg, train_x.shape[1], k)
         return lambda x: predict(params, spec, x)
@@ -473,7 +458,7 @@ def stage_cv(config: PipelineConfig) -> dict:
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(config, encoded=encoded)
     result = cross_validate(
-        _cv_runner(config, k, f"cv{suffix}"),
+        _cv_runner(config, k),
         features.values, labels,
         k=int(config["cv"]["folds"]),
         seed=derive_seed(config.seed(), f"cv{suffix}"),

@@ -1,5 +1,6 @@
 """Schema-driven tabular data: CSV ingestion, imputation, summary statistics,
-and a synthetic imbalanced-data generator for desk-scale experiments.
+a synthetic imbalanced-data generator for desk-scale experiments, and the
+artifact-file helpers every pipeline stage writes and reads through.
 
 A :class:`Table` is column-oriented: numeric columns are float64 arrays,
 categorical/boolean columns are string object arrays, the target column is an
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -141,6 +144,17 @@ class Table:
         cols = {n: v[idx] for n, v in self.columns.items()}
         miss = {n: v[idx] for n, v in self.missing.items()}
         return Table(self.schema, cols, miss, int(len(idx)), self.n_dropped)
+
+
+def factorize(values) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one rule for category identity and order: ``labels``
+    holds the distinct values (by Python equality) in first-appearance order
+    and int64 ``codes`` index them, so ``labels[codes]`` rebuilds the input."""
+    values = np.asarray(values)
+    cells = values.tolist()
+    index = {v: i for i, v in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return codes, np.fromiter(index, dtype=values.dtype, count=len(index))
 
 
 def _parse_numeric(text: str) -> float | None:
@@ -425,3 +439,50 @@ def generate_synthetic(spec: SyntheticSpec) -> Table:
     schema = SchemaSpec(columns=tuple(schema_cols), target_cardinality=k)
     missing = {n: np.zeros(spec.n_rows, dtype=bool) for n in columns}
     return Table(schema, columns, missing, spec.n_rows)
+
+
+# -- artifact files -------------------------------------------------------------
+#
+# Feature matrices and models share one layout: a JSON manifest line (UTF-8,
+# newline terminated), then a little-endian float64 blob.
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Write to a temporary sibling and rename it over ``path`` once the block
+    completes: a failed write leaves the previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_blob(path: str | Path, manifest: dict, arrays) -> None:
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(manifest).encode("utf-8") + b"\n")
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def load_blob(path: str | Path, fmt: str, kind: str) -> tuple[dict, bytes]:
+    """Manifest and raw blob; DataError if the manifest line does not parse
+    (a cut or corrupt file) or names another format."""
+    with open(path, "rb") as fh:
+        line, blob = fh.readline(), fh.read()
+    try:
+        manifest = json.loads(line)
+    except ValueError:
+        raise DataError(f"{path}: unreadable {kind} manifest") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise DataError(f"{path}: not a {kind} file")
+    return manifest, blob
+
+
+def blob_floats(path: str | Path, blob: bytes, count: int) -> np.ndarray:
+    """The blob as a read-only view of ``count`` float64 values; DataError if
+    its length differs (a cut or padded file)."""
+    if len(blob) != 8 * count:
+        raise DataError(f"{path}: {len(blob)} data bytes where the manifest implies {8 * count}")
+    return np.frombuffer(blob, dtype="<f8")

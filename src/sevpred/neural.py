@@ -11,13 +11,12 @@ Class labels are 1-based (severity 1..K) everywhere in the public API.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import blob_floats, load_blob, save_blob
 from .errors import (
     CacheMismatch,
     DataError,
@@ -438,9 +437,8 @@ def gradient_check(
 
 # -- model files ---------------------------------------------------------------
 #
-# One file: a JSON manifest line (spec, meta, format version) followed by a
-# little-endian float64 blob of parameters in layer order, each dense layer's
-# weight matrix row-major then its bias vector.
+# The manifest holds spec and meta; the blob holds each dense layer's weight
+# matrix (row-major) then its bias vector, in layer order.
 
 MODEL_FORMAT = "sevpred-model-1"
 
@@ -470,32 +468,14 @@ def spec_from_dict(obj: dict) -> NetworkSpec:
 
 def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: dict | None = None) -> None:
     manifest = {"format": MODEL_FORMAT, "spec": spec_to_dict(spec), "meta": meta or {}}
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(manifest).encode("utf-8"))
-        fh.write(b"\n")
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    save_blob(path, manifest, params.arrays())
 
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
-    with open(path, "rb") as fh:
-        manifest = json.loads(fh.readline().decode("utf-8"))
-        if manifest.get("format") != MODEL_FORMAT:
-            raise DataError(f"{path}: not a model file")
-        blob = fh.read()
+    manifest, blob = load_blob(path, MODEL_FORMAT, "model")
     spec = spec_from_dict(manifest["spec"])
-    params = Parameters([], [])
-    cursor = 0
-    data = np.frombuffer(blob, dtype="<f8")
-    for layer in spec.dense_layers():
-        w_size = layer.fan_in * layer.fan_out
-        params.weights.append(data[cursor:cursor + w_size].reshape(layer.fan_in, layer.fan_out).copy())
-        cursor += w_size
-        params.biases.append(data[cursor:cursor + layer.fan_out].copy())
-        cursor += layer.fan_out
-    if cursor != data.size:
-        raise DataError(f"{path}: parameter blob size does not match the spec")
-    return spec, params, manifest.get("meta", {})
+    layers = spec.dense_layers()
+    sizes = [n for d in layers for n in (d.fan_in * d.fan_out, d.fan_out)]
+    chunks = np.split(blob_floats(path, blob, sum(sizes)), np.cumsum(sizes)[:-1])
+    weights = [w.reshape(d.fan_in, d.fan_out).copy() for w, d in zip(chunks[0::2], layers)]
+    return spec, Parameters(weights, [b.copy() for b in chunks[1::2]]), manifest.get("meta", {})

@@ -4,20 +4,21 @@ stratified splits.
 Encoders are fitted on the training rows only and applied unchanged to
 validation/test data, so no statistics leak across splits. Standardization
 uses the population (1/n) standard deviation; zero-variance columns transform
-to all-zeros. One-hot blocks map categories unseen at fit time to all-zero
-vectors.
+to all-zeros. One-hot categories are the distinct ``str`` forms of the
+training cells, in the order :func:`~sevpred.dataset.factorize` gives them;
+blocks map categories unseen at fit time to all-zero vectors.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ColumnKind, Table, largest_remainder_counts
+from .dataset import ColumnKind, Table, factorize, largest_remainder_counts
+from .dataset import atomic_write, blob_floats, load_blob, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import make_rng
 
@@ -91,6 +92,11 @@ class SplitIndices:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 
+# str() of every cell, kept as Python strings (a numpy str array would drop
+# trailing NULs and merge categories that differ only by them)
+_as_text = np.frompyfunc(str, 1, 1)
+
+
 def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
     """Learn category lists from the given rows (default: all rows)."""
     idx = np.arange(table.n_rows) if rows is None else np.asarray(rows)
@@ -100,12 +106,10 @@ def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
             raise UnknownColumn(name)
         if table.schema.kind_of(name) not in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN):
             raise UnknownColumn(name)
-        seen: dict[str, None] = {}
-        for value in table.columns[name][idx]:
-            seen.setdefault(str(value))
-        if not seen:
+        _, labels = factorize(_as_text(table.columns[name][idx]))
+        if not len(labels):
             raise DataError(f"no rows to fit one-hot codec for column {name!r}")
-        categories[name] = tuple(seen)
+        categories[name] = tuple(labels.tolist())
     return OneHotCodec(categories)
 
 
@@ -121,15 +125,15 @@ def transform_one_hot(codec: OneHotCodec, table: Table, columns=None) -> tuple[n
     for name in names:
         if name not in codec.categories:
             raise UnknownColumn(name)
-        cats = codec.categories[name]
-        index = {c: i for i, c in enumerate(cats)}
-        block = np.zeros((table.n_rows, len(cats)))
-        for r, value in enumerate(table.columns[name]):
-            j = index.get(str(value))
-            if j is None:
-                unseen += 1
-            else:
-                block[r, j] = 1.0
+        k = len(codec.categories[name])
+        # the fitted categories come first, so a cell's code is its fitted
+        # index, or k or more for a category unseen at fit time
+        cells = np.concatenate([np.array(codec.categories[name], dtype=object), _as_text(table.columns[name])])
+        codes = factorize(cells)[0][k:]
+        hit = np.flatnonzero(codes < k)
+        block = np.zeros((table.n_rows, k))
+        block[hit, codes[hit]] = 1.0
+        unseen += table.n_rows - len(hit)
         blocks.append(block)
     if not blocks:
         return np.zeros((table.n_rows, 0)), 0
@@ -237,8 +241,7 @@ def stratified_split(targets, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitInd
 
 # -- file formats -------------------------------------------------------------
 #
-# A feature-matrix file is a single JSON manifest line (UTF-8, newline
-# terminated) followed by the raw row-major little-endian float64 blob.
+# A feature-matrix file's blob holds the n x d values, row-major.
 
 FMX_FORMAT = "sevpred-fmx-1"
 
@@ -252,23 +255,13 @@ def save_feature_matrix(path: str | Path, fm: FeatureMatrix) -> None:
         "byte_order": "little",
         "labels": list(fm.column_labels),
     }
-    # write-then-rename so a crash never leaves a partial file behind
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(manifest).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(fm.values, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    save_blob(path, manifest, [fm.values])
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        manifest = json.loads(fh.readline().decode("utf-8"))
-        if manifest.get("format") != FMX_FORMAT:
-            raise DataError(f"{path}: not a feature-matrix file")
-        blob = fh.read()
+    manifest, blob = load_blob(path, FMX_FORMAT, "feature-matrix")
     n, d = manifest["n"], manifest["d"]
-    values = np.frombuffer(blob, dtype="<f8", count=n * d).reshape(n, d).copy()
+    values = blob_floats(path, blob, n * d).reshape(n, d).copy()
     return FeatureMatrix(values, tuple(manifest["labels"]))
 
 
@@ -279,7 +272,7 @@ def save_splits(path: str | Path, splits: SplitIndices) -> None:
         "val": splits.val.tolist(),
         "test": splits.test.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
@@ -305,7 +298,7 @@ def save_preprocessor(
         "standardizer": standardizer.to_dict(),
         "column_order": list(column_order),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 

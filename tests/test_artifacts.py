@@ -1,0 +1,96 @@
+import json
+
+import numpy as np
+import pytest
+
+from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, init_params
+from sevpred.cli import _write_json
+from sevpred.dataset import atomic_write
+from sevpred.errors import DataError
+from sevpred.neural import load_model, save_model
+from sevpred.preprocess import (
+    OneHotCodec,
+    Standardizer,
+    load_feature_matrix,
+    load_preprocessor,
+    save_feature_matrix,
+    save_preprocessor,
+)
+
+
+def write_fmx(path):
+    fm = FeatureMatrix(np.arange(12, dtype=np.float64).reshape(4, 3), ("a", "b", "c"))
+    save_feature_matrix(path, fm)
+
+
+def write_model(path):
+    spec = NetworkSpec((Dense(3, 5, "relu"), Dropout(0.1), Dense(5, 2, "softmax")))
+    save_model(path, spec, init_params(spec, seed=3), {"kind": "test"})
+
+
+FORMATS = {"fmx": (write_fmx, load_feature_matrix), "model": (write_model, load_model)}
+
+
+class TestTruncatedArtifacts:
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    @pytest.mark.parametrize("where", ["empty", "mid-manifest", "before-newline",
+                                       "manifest-only", "mid-blob", "last-byte"])
+    def test_truncation_is_data_error(self, tmp_path, kind, where):
+        write, load = FORMATS[kind]
+        path = tmp_path / f"artifact.{kind}"
+        write(path)
+        data = path.read_bytes()
+        line_end = data.index(b"\n")
+        cut = {
+            "empty": 0,
+            "mid-manifest": line_end // 2,
+            "before-newline": line_end,
+            "manifest-only": line_end + 1,
+            "mid-blob": line_end + 1 + (len(data) - line_end - 1) // 2 + 3,  # off a float boundary
+            "last-byte": len(data) - 1,
+        }[where]
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            load(path)
+
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    def test_trailing_bytes_are_data_error(self, tmp_path, kind):
+        write, load = FORMATS[kind]
+        path = tmp_path / f"artifact.{kind}"
+        write(path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError):
+            load(path)
+
+
+class TestAtomicWrite:
+    def test_failed_block_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+                raise RuntimeError("disk full")
+        assert path.read_text() == "previous"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_preprocessor_write_failing_midway(self, tmp_path):
+        path = tmp_path / "preprocessor.json"
+        codec = OneHotCodec({"c": ("a", "b")})
+        standardizer = Standardizer({"x": (0.0, 1.0)})
+        save_preprocessor(path, codec, standardizer, ["x", "c"])
+        before = path.read_bytes()
+        # json.dump streams the payload, so the codec is written before the
+        # unserializable value stops it
+        bad = Standardizer({"x": (object(), 1.0)})
+        with pytest.raises(TypeError):
+            save_preprocessor(path, codec, bad, ["x", "c"])
+        assert path.read_bytes() == before
+        assert load_preprocessor(path)[0] == codec
+
+    def test_report_write_failing_midway(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(path, {"ok": 1})
+        with pytest.raises(TypeError):
+            _write_json(path, {"ok": 2, "bad": object()})
+        assert json.loads(path.read_text()) == {"ok": 1}

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import numpy as np
 
-from sevpred.cli import main
+from sevpred.cli import DEFAULTS, main
 from tests.conftest import strip_meta
 
 
@@ -58,6 +59,17 @@ class TestPreprocessTrainChain:
 
         latent = load_feature_matrix(out / "latent.fmx")
         assert latent.d == 4  # configured latent width
+
+    def test_truncated_features_exit_2(self, csv_workspace, capsys):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        fmx = csv_workspace / "out" / "features.fmx"
+        data = fmx.read_bytes()
+        fmx.write_bytes(data[: len(data) - 5])
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "train") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
 
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2
@@ -160,6 +172,16 @@ class TestPipeline:
 
 
 class TestConfigPlumbing:
+    def test_set_leaves_defaults_unchanged(self, csv_workspace):
+        snapshot = copy.deepcopy(DEFAULTS)
+        assert run_cmd(
+            csv_workspace, "stats",
+            "--set", "association.threshold=0.9",
+            "--set", "split.ratios=[0.5,0.25,0.25]",
+            "--set", "train.use_encoder=true",
+        ) == 0
+        assert DEFAULTS == snapshot
+
     def test_set_override_nested(self, csv_workspace):
         assert run_cmd(csv_workspace, "stats", "--set", "work_dir=" + str(csv_workspace / "alt")) == 0
         assert (csv_workspace / "alt" / "stats.json").exists()

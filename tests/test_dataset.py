@@ -13,7 +13,7 @@ from sevpred import (
     summarize,
     write_csv,
 )
-from sevpred.dataset import largest_remainder_counts, load_schema, schema_to_dict
+from sevpred.dataset import factorize, largest_remainder_counts, load_schema, schema_to_dict
 from sevpred.errors import (
     AllMissingColumn,
     DataError,
@@ -256,3 +256,23 @@ class TestSummarize:
         cat = stats["columns"]["cat_0"]
         assert len(cat["top_categories"]) <= 10
         assert abs(sum(stats["class_distribution"]) - 1.0) < 1e-12
+
+
+class TestFactorize:
+    def test_first_appearance_order_and_round_trip(self):
+        values = np.array(["z", "a", "z", "m", "a"], dtype=object)
+        codes, labels = factorize(values)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [0, 1, 0, 2, 1]
+        assert labels.tolist() == ["z", "a", "m"]
+        assert (labels[codes] == values).all()
+
+    def test_integer_codes(self):
+        codes, labels = factorize(np.array([3, 1, 3, 0]))
+        assert codes.tolist() == [0, 1, 0, 2]
+        assert labels.tolist() == [3, 1, 0]
+
+    def test_empty_input(self):
+        codes, labels = factorize(np.array([], dtype=object))
+        assert codes.dtype == np.int64
+        assert len(codes) == 0 and len(labels) == 0

@@ -95,6 +95,44 @@ class TestOneHot:
             fit_one_hot(small_table, ["num_0"])  # numeric is not one-hot material
 
 
+def reference_one_hot(categories, values):
+    """Per-cell loop the vectorized transform_one_hot must reproduce."""
+    index = {c: i for i, c in enumerate(categories)}
+    block = np.zeros((len(values), len(categories)))
+    unseen = 0
+    for r, value in enumerate(values):
+        j = index.get(str(value))
+        if j is None:
+            unseen += 1
+        else:
+            block[r, j] = 1.0
+    return block, unseen
+
+
+# a tiny alphabet, so repeats, integers whose str() equals a text ("1"), and
+# categories that differ only by a trailing NUL all occur
+cell_values = st.one_of(st.text(alphabet="a1\x00", max_size=2), st.integers(0, 2))
+
+
+class TestOneHotMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(cell_values, min_size=1, max_size=40),
+        new_values=st.lists(cell_values, min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_transform_matches_per_cell_loop(self, values, new_values, data):
+        rows = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, unique=True))
+        codec = fit_one_hot(table_from(categorical={"c": values}), ["c"], rows=rows)
+        fitted = np.asarray(values, dtype=object)[np.asarray(rows)]
+        assert codec.categories["c"] == tuple(dict.fromkeys(str(v) for v in fitted))
+        for cells in (values, new_values):
+            block, unseen = transform_one_hot(codec, table_from(categorical={"c": cells}))
+            ref_block, ref_unseen = reference_one_hot(codec.categories["c"], cells)
+            np.testing.assert_array_equal(block, ref_block)
+            assert unseen == ref_unseen
+
+
 class TestStandardizer:
     def test_hand_computed_population_std(self):
         table = table_from(numeric={"x": [1.0, 2.0, 3.0]})
