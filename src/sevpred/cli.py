@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .association import association_matrix, select_features
 from .dataset import ColumnKind, Table, atomic_write, impute, ingest_csv, load_schema, summarize
+from .dataset import load_json_artifact
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -104,6 +105,33 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` has its default's type: an int may stand for a float,
+    a string for a null default, and list items follow the first default item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _check_types(settings: dict, defaults: dict, prefix: str = "") -> None:
+    """ConfigError for a key that DEFAULTS lacks or a value of another type."""
+    for key, value in settings.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            _check_types(value, default, name + ".")
+        elif not _fits(value, default):
+            raise ConfigError(f"{name} must match the type of its default {default!r}, got {value!r}")
+
+
 @dataclass
 class PipelineConfig:
     """Merged configuration: defaults <- config file <- --set <- flags."""
@@ -114,6 +142,7 @@ class PipelineConfig:
         return self.settings[key]
 
     def validate(self) -> None:
+        _check_types(self.settings, DEFAULTS)
         threshold = self["association"]["threshold"]
         if not (0.0 <= threshold <= 1.0):
             raise ConfigError(f"association.threshold must be in [0, 1], got {threshold}")
@@ -260,8 +289,8 @@ def stage_associate(config: PipelineConfig) -> dict:
 def stage_preprocess(config: PipelineConfig) -> dict:
     table = _load_table(config)
     work = config.work_dir()
-    with open(_require(work / "selection.json", "sevpred associate"), encoding="utf-8") as fh:
-        selected = json.load(fh)["selected"]
+    selection = _require(work / "selection.json", "sevpred associate")
+    selected = load_json_artifact(selection, "selection", ("selected",))["selected"]
     if not selected:
         raise DataError("feature selection is empty; lower association.threshold")
 
@@ -300,8 +329,8 @@ def _load_features(config: PipelineConfig, *, encoded: bool) -> tuple[FeatureMat
     name = "latent.fmx" if encoded else "features.fmx"
     hint = "sevpred encode" if encoded else "sevpred preprocess"
     features = load_feature_matrix(_require(work / name, hint))
-    with open(_require(work / "targets.json", "sevpred preprocess"), encoding="utf-8") as fh:
-        targets = json.load(fh)
+    targets_path = _require(work / "targets.json", "sevpred preprocess")
+    targets = load_json_artifact(targets_path, "targets", ("labels", "target_cardinality"))
     labels = np.asarray(targets["labels"], dtype=np.int64)
     if len(labels) != features.n:
         raise DataError("targets.json row count does not match the feature matrix")

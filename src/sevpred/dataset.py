@@ -480,6 +480,22 @@ def load_blob(path: str | Path, fmt: str, kind: str) -> tuple[dict, bytes]:
     return manifest, blob
 
 
+def load_json_artifact(path: str | Path, kind: str, fields=()) -> dict:
+    """A JSON artifact's top-level object; DataError if it does not parse (a
+    cut or corrupt file), is not an object, or lacks one of ``fields``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError:
+        raise DataError(f"{path}: unreadable {kind} file") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a {kind} file")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise DataError(f"{path}: {kind} file lacks {', '.join(missing)}")
+    return payload
+
+
 def blob_floats(path: str | Path, blob: bytes, count: int) -> np.ndarray:
     """The blob as a read-only view of ``count`` float64 values; DataError if
     its length differs (a cut or padded file)."""

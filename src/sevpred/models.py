@@ -200,8 +200,8 @@ def encode(spec: NetworkSpec, params: Parameters, data) -> FeatureMatrix:
     x = _feature_values(data)
     if x.shape[1] != enc.input_dim:
         raise WidthMismatch(f"data width {x.shape[1]} != encoder input {enc.input_dim}")
-    half = len(params.weights) // 2
-    enc_params = Parameters(params.weights[:half], params.biases[:half])
+    layout = params.layout[: len(params.layout) // 2]
+    enc_params = Parameters.wrap(params.flat[: layout[-1][1]], layout)
     out, _ = forward(enc, enc_params, x, mode="infer")
     return FeatureMatrix(out, tuple(f"latent_{i}" for i in range(out.shape[1])))
 
@@ -290,7 +290,7 @@ def train_classifier(
     spec = build_classifier(cfg, train_x.shape[1], n_classes)
     params = init_params(spec, derive_seed(cfg.seed, "init"))
     history = {"train_loss": [], "val_accuracy": [], "val_ber": [], "best_epoch": 0}
-    best = {"ber": np.inf, "params": params.copy(), "epoch": 0}
+    best = {"ber": np.inf, "params": params, "epoch": 0}
 
     def on_epoch(epoch, current, train_loss):
         preds = predict(current, spec, val_x)
@@ -300,7 +300,7 @@ def train_classifier(
         history["val_accuracy"].append(accuracy(cm))
         history["val_ber"].append(val_ber)
         if val_ber < best["ber"]:
-            best.update(ber=val_ber, params=current.copy(), epoch=epoch)
+            best.update(ber=val_ber, params=current, epoch=epoch)
 
     _run_epochs(
         spec, params, train_x, train_y, "weighted_ce", weights,

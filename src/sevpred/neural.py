@@ -4,13 +4,16 @@ Forward/backward passes with relu/linear/softmax activations, inverted
 dropout, L2 weight decay, class-weighted cross-entropy and mean-squared-error
 losses, an adaptive-moment optimizer, and a finite-difference gradient
 checker. No GPU, no mixed precision: desk-scale sizes keep 64-bit cheap and
-make gradient checks meaningful.
+make gradient checks meaningful. Weights and biases live in one flat buffer,
+``Parameters.flat``, with per-layer views; gradients, the optimizer's moments
+and a model file's blob share its layout.
 
 Class labels are 1-based (severity 1..K) everywhere in the public API.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,24 +90,40 @@ class NetworkSpec:
         return self.dense_layers()[-1].fan_out
 
 
-@dataclass
+def _layout(shapes) -> tuple:
+    """(start, stop, shape) of each array in one flat buffer, packed in order."""
+    layout, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((start, stop, shape))
+        start = stop
+    return tuple(layout)
+
+
 class Parameters:
-    """Per-dense-layer weight matrices (fan_in x fan_out) and bias vectors."""
+    """Per-dense-layer weight matrices (fan_in x fan_out) and bias vectors, as
+    views into one contiguous float64 buffer ``flat`` in model-file order
+    (W0, b0, W1, b1, ...): a write through either side shows in the other."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights, biases):
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64, copy=False)
+        self._bind(flat, _layout(np.shape(a) for a in arrays))
 
-    def copy(self) -> "Parameters":
-        return Parameters([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+    @classmethod
+    def wrap(cls, flat: np.ndarray, layout: tuple) -> "Parameters":
+        """Parameters viewing an existing buffer through a known layout."""
+        params = cls.__new__(cls)
+        params._bind(flat, layout)
+        return params
+
+    def _bind(self, flat: np.ndarray, layout: tuple) -> None:
+        self.flat, self.layout = flat, layout
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def n_scalars(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> Parameters:
@@ -271,10 +290,7 @@ def backward(
     else:
         raise DataError(f"unknown loss kind {loss_kind!r}")
 
-    grads = Parameters(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    grads = Parameters.wrap(np.zeros(params.flat.size), params.layout)
     dense_idx = len(dense) - 1
     last_record = len(spec.layers) - 1
     for i in range(last_record, -1, -1):
@@ -286,32 +302,27 @@ def backward(
             continue
         _, x_in, z = record
         if isinstance(layer, Dense):
-            if fused_final and i == _last_dense_index(spec):
+            if fused_final and i == last_record:  # the final layer is always dense
                 dz = carry  # already the pre-activation gradient
             elif layer.activation == "relu":
                 dz = carry * (z > 0)
             else:  # linear
                 dz = carry
-            grads.weights[dense_idx] = x_in.T @ dz + spec.l2_penalty * params.weights[dense_idx]
-            grads.biases[dense_idx] = dz.sum(axis=0)
+            gw, gb = grads.weights[dense_idx], grads.biases[dense_idx]
+            np.matmul(x_in.T, dz, out=gw)
+            gw += spec.l2_penalty * params.weights[dense_idx]
+            dz.sum(axis=0, out=gb)
             carry = dz @ params.weights[dense_idx].T
             dense_idx -= 1
     return grads
 
 
-def _last_dense_index(spec: NetworkSpec) -> int:
-    for i in range(len(spec.layers) - 1, -1, -1):
-        if isinstance(spec.layers[i], Dense):
-            return i
-    raise DataError("no dense layer")
-
-
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators mirroring the parameter shapes."""
+    """Adaptive-moment accumulators, flat and in ``Parameters.flat`` order."""
 
-    m: Parameters
-    v: Parameters
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -320,10 +331,7 @@ class OptimizerState:
 
 
 def init_optimizer(params: Parameters, learning_rate: float = 1e-3) -> OptimizerState:
-    zeros = Parameters(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    zeros = np.zeros_like(params.flat)
     return OptimizerState(m=zeros, v=zeros.copy(), learning_rate=learning_rate)
 
 
@@ -334,27 +342,24 @@ def adam_step(
     state objects so callers can keep checkpoints by reference."""
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    new_params = Parameters([], [])
-    new_m = Parameters([], [])
-    new_v = Parameters([], [])
-    for kind in ("weights", "biases"):
-        for p, g, m, v in zip(
-            getattr(params, kind), getattr(grads, kind),
-            getattr(state.m, kind), getattr(state.v, kind),
-        ):
-            m_next = b1 * m + (1 - b1) * g
-            v_next = b2 * v + (1 - b2) * g * g
-            m_hat = m_next / (1 - b1 ** t)
-            v_hat = v_next / (1 - b2 ** t)
-            getattr(new_params, kind).append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
-            getattr(new_m, kind).append(m_next)
-            getattr(new_v, kind).append(v_next)
+    # fresh results updated in place: for a wide network every temporary is a
+    # large allocation whose pages fault in afresh
+    g = grads.flat
+    m = b1 * state.m
+    m += (1 - b1) * g
+    v = b2 * state.v
+    v += (1 - b2) * g * g
+    denom = np.sqrt(v / (1 - b2 ** t))
+    denom += state.eps
+    new_flat = state.learning_rate * (m / (1 - b1 ** t))
+    new_flat /= denom
+    np.subtract(params.flat, new_flat, out=new_flat)
     next_state = OptimizerState(
-        m=new_m, v=new_v, step=t,
+        m=m, v=v, step=t,
         learning_rate=state.learning_rate, beta1=state.beta1,
         beta2=state.beta2, eps=state.eps,
     )
-    return new_params, next_state
+    return Parameters.wrap(new_flat, params.layout), next_state
 
 
 def total_loss(
@@ -403,13 +408,9 @@ def gradient_check(
     _, cache = forward(spec, params, batch, mode="train", dropout_seed=dropout_seed)
     analytic = backward(spec, params, cache, loss_kind, labels_or_target, class_weights)
 
-    arrays = params.arrays()
-    grad_arrays = analytic.arrays()
-    sizes = np.array([a.size for a in arrays])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    flat = params.flat
     rng = make_rng(seed)
-    chosen = rng.choice(total, size=min(n_coords, total), replace=False)
+    chosen = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
 
     def loss_at() -> float:
         return total_loss(
@@ -418,18 +419,15 @@ def gradient_check(
         )
 
     worst = 0.0
-    for flat in chosen:
-        idx = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = int(flat - offsets[idx])
-        arr = arrays[idx]
-        original = arr.flat[local]
-        arr.flat[local] = original + step
+    for i in chosen:
+        original = flat[i]
+        flat[i] = original + step
         plus = loss_at()
-        arr.flat[local] = original - step
+        flat[i] = original - step
         minus = loss_at()
-        arr.flat[local] = original
+        flat[i] = original
         numeric = (plus - minus) / (2 * step)
-        analytic_value = grad_arrays[idx].flat[local]
+        analytic_value = analytic.flat[i]
         rel = abs(analytic_value - numeric) / max(abs(analytic_value), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
@@ -437,8 +435,8 @@ def gradient_check(
 
 # -- model files ---------------------------------------------------------------
 #
-# The manifest holds spec and meta; the blob holds each dense layer's weight
-# matrix (row-major) then its bias vector, in layer order.
+# The manifest holds spec and meta; the blob is ``Parameters.flat``: each dense
+# layer's weight matrix (row-major) then its bias vector, in layer order.
 
 MODEL_FORMAT = "sevpred-model-1"
 
@@ -468,14 +466,12 @@ def spec_from_dict(obj: dict) -> NetworkSpec:
 
 def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: dict | None = None) -> None:
     manifest = {"format": MODEL_FORMAT, "spec": spec_to_dict(spec), "meta": meta or {}}
-    save_blob(path, manifest, params.arrays())
+    save_blob(path, manifest, [params.flat])
 
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
     manifest, blob = load_blob(path, MODEL_FORMAT, "model")
     spec = spec_from_dict(manifest["spec"])
-    layers = spec.dense_layers()
-    sizes = [n for d in layers for n in (d.fan_in * d.fan_out, d.fan_out)]
-    chunks = np.split(blob_floats(path, blob, sum(sizes)), np.cumsum(sizes)[:-1])
-    weights = [w.reshape(d.fan_in, d.fan_out).copy() for w, d in zip(chunks[0::2], layers)]
-    return spec, Parameters(weights, [b.copy() for b in chunks[1::2]]), manifest.get("meta", {})
+    layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
+    flat = blob_floats(path, blob, layout[-1][1]).copy()
+    return spec, Parameters.wrap(flat, layout), manifest.get("meta", {})

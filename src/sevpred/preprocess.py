@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ColumnKind, Table, factorize, largest_remainder_counts
-from .dataset import atomic_write, blob_floats, load_blob, save_blob
+from .dataset import atomic_write, blob_floats, load_blob, load_json_artifact, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import make_rng
 
@@ -277,8 +277,7 @@ def save_splits(path: str | Path, splits: SplitIndices) -> None:
 
 
 def load_splits(path: str | Path) -> SplitIndices:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json_artifact(path, "splits", ("train", "val", "test", "seed"))
     return SplitIndices(
         train=np.asarray(payload["train"], dtype=np.int64),
         val=np.asarray(payload["val"], dtype=np.int64),
@@ -303,8 +302,7 @@ def save_preprocessor(
 
 
 def load_preprocessor(path: str | Path) -> tuple[OneHotCodec, Standardizer, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json_artifact(path, "preprocessor", ("one_hot", "standardizer", "column_order"))
     return (
         OneHotCodec.from_dict(payload["one_hot"]),
         Standardizer.from_dict(payload["standardizer"]),

@@ -2,6 +2,7 @@ import copy
 import json
 
 import numpy as np
+import pytest
 
 from sevpred.cli import DEFAULTS, main
 from tests.conftest import strip_meta
@@ -70,6 +71,25 @@ class TestPreprocessTrainChain:
         assert run_cmd(csv_workspace, "train") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
+
+    @pytest.mark.parametrize("corrupt", [lambda b: b[: len(b) // 2], lambda b: b"[]", lambda b: b"{}"],
+                             ids=["halved", "not-an-object", "no-fields"])
+    @pytest.mark.parametrize("name, command", [
+        ("selection.json", "preprocess"),
+        ("splits.json", "train"),
+        ("targets.json", "train"),
+        ("preprocessor.json", "predict"),
+    ])
+    def test_corrupt_json_artifact_exit_2(self, csv_workspace, capsys, name, command, corrupt):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        path = csv_workspace / "out" / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, command) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert name in err["error"]["message"]
 
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2
@@ -195,3 +215,29 @@ class TestConfigPlumbing:
         ]) == 0
         splits_b = read_json(csv_workspace, "splits.json")
         assert splits_a["train"] != splits_b["train"]
+
+    @pytest.mark.parametrize("expr", [
+        'cv.folds="x"', "cv.folds=2.5", "classifier.use_class_weights=1",
+        "association=3", 'grid.initial_neurons=["a"]', "classifer.epochs=3",
+    ])
+    def test_set_of_wrong_type_or_unknown_key_exits_1(self, csv_workspace, capsys, expr):
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats", "--set", expr) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ConfigError"
+
+    def test_int_for_float_and_string_for_null_accepted(self, csv_workspace):
+        assert run_cmd(
+            csv_workspace, "stats",
+            "--set", "association.threshold=1", "--set", "predict.model=other.model",
+        ) == 0
+
+    def test_unknown_key_in_config_file_exits_1(self, csv_workspace, capsys):
+        path = csv_workspace / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["classifier"]["epoch"] = 3
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "classifier.epoch" in err["error"]["message"]

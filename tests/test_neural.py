@@ -1,12 +1,19 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from sevpred import (
+    AutoencoderConfig,
+    ClassifierConfig,
     Dense,
     Dropout,
     NetworkSpec,
+    Parameters,
     adam_step,
     backward,
+    compute_class_weights,
     forward,
     gradient_check,
     init_optimizer,
@@ -15,6 +22,8 @@ from sevpred import (
     loss_mse,
     loss_weighted_ce,
     save_model,
+    train_autoencoder,
+    train_classifier,
 )
 from sevpred.errors import (
     CacheMismatch,
@@ -316,3 +325,83 @@ class TestModelFile:
         params.weights[0][:] = [[1.0, 2.0], [3.0, 4.0]]
         params.biases[0][:] = [10.0, 10.0]  # biases are exempt
         assert l2_term(spec, params) == pytest.approx(0.5 * 30 / 2)
+
+    def test_blob_is_the_flat_buffer(self, tmp_path):
+        spec = NetworkSpec((Dense(4, 3, "relu"), Dense(3, 2, "softmax")))
+        params = init_params(spec, seed=3)
+        path = tmp_path / "net.model"
+        save_model(path, spec, params)
+        assert path.read_bytes().split(b"\n", 1)[1] == params.flat.tobytes()
+
+
+class TestFlatParameters:
+    def test_layer_views_share_the_flat_buffer(self):
+        spec = NetworkSpec((Dense(3, 2, "relu"), Dense(2, 4, "softmax")))
+        params = init_params(spec, seed=1)
+        assert params.flat.size == 3 * 2 + 2 + 2 * 4 + 4
+        params.weights[1][1, 3] = 5.0
+        params.biases[0][1] = -2.0
+        assert params.flat[3 * 2 + 2 + 1 * 4 + 3] == 5.0
+        assert params.flat[3 * 2 + 1] == -2.0
+        params.flat[-1] = 9.0
+        assert params.biases[1][3] == 9.0
+
+    def test_constructor_packs_in_model_file_order(self):
+        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0, 8.0])
+        w1, b1 = np.array([[9.0], [10.0], [11.0]]), np.array([12.0])
+        params = Parameters([w0, w1], [b0, b1])
+        np.testing.assert_array_equal(params.flat, np.arange(13.0))
+        w0[0, 0] = 100.0  # the inputs are copied once, not aliased
+        assert params.flat[0] == 0.0
+
+
+def _digest(params, history) -> str:
+    h = hashlib.sha256()
+    for a in params.arrays():
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(json.dumps(history, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestGoldenTrajectory:
+    """Float64 bit-identity of the engine at a fixed seed.
+
+    The digests were captured from the per-layer engine that preceded the
+    flat parameter buffer; a change that alters any bit of a trained
+    parameter, a history value or the gradient-check result fails here.
+    """
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(240, 12))
+        y = 1 + (x[:, 0] > 0) + (x[:, 1] > 0.5)
+        return x, y
+
+    def test_classifier_with_dropout_and_l2(self, data):
+        x, y = data
+        cfg = ClassifierConfig(initial_neurons=16, initial_dropout=0.3, batch_size=64,
+                               l2_penalty=1e-3, epochs=3, seed=5)
+        params, history = train_classifier(
+            cfg, x[:160], y[:160], x[160:], y[160:], compute_class_weights(y[:160], 3), n_classes=3
+        )
+        assert _digest(params, history) == (
+            "f9889044f6edd8195c30e2d5a01baf2aa14469e70405aa17edefb3ea8b46af63"
+        )
+
+    def test_autoencoder(self, data):
+        x, _ = data
+        cfg = AutoencoderConfig(input_dim=12, encoder_widths=(8, 4), epochs=3, batch_size=64, seed=2)
+        params, history = train_autoencoder(cfg, x[:160], x[160:])
+        assert _digest(params, history) == (
+            "b1d43ca1fc27fdf0418c644d2c29c9208a730403d4fc4e3a227c12cec3ddeb32"
+        )
+
+    def test_gradient_check_value(self, data):
+        x, y = data
+        spec = NetworkSpec(
+            (Dense(12, 8, "relu"), Dropout(0.25), Dense(8, 3, "softmax")), l2_penalty=1e-2
+        )
+        err = gradient_check(spec, init_params(spec, seed=4), x[:30], "weighted_ce", y[:30],
+                             n_coords=50, seed=1)
+        assert err.hex() == "0x1.279c420771561p-25"
