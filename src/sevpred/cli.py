@@ -290,7 +290,7 @@ def stage_preprocess(config: PipelineConfig) -> dict:
     table = _load_table(config)
     work = config.work_dir()
     selection = _require(work / "selection.json", "sevpred associate")
-    selected = load_json_artifact(selection, "selection", ("selected",))["selected"]
+    selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
         raise DataError("feature selection is empty; lower association.threshold")
 
@@ -330,11 +330,13 @@ def _load_features(config: PipelineConfig, *, encoded: bool) -> tuple[FeatureMat
     hint = "sevpred encode" if encoded else "sevpred preprocess"
     features = load_feature_matrix(_require(work / name, hint))
     targets_path = _require(work / "targets.json", "sevpred preprocess")
-    targets = load_json_artifact(targets_path, "targets", ("labels", "target_cardinality"))
+    targets = load_json_artifact(
+        targets_path, "targets", {"labels": [int], "target_cardinality": int}
+    )
     labels = np.asarray(targets["labels"], dtype=np.int64)
     if len(labels) != features.n:
         raise DataError("targets.json row count does not match the feature matrix")
-    return features, labels, int(targets["target_cardinality"])
+    return features, labels, targets["target_cardinality"]
 
 
 def stage_train_ae(config: PipelineConfig) -> dict:

@@ -480,9 +480,29 @@ def load_blob(path: str | Path, fmt: str, kind: str) -> tuple[dict, bytes]:
     return manifest, blob
 
 
-def load_json_artifact(path: str | Path, kind: str, fields=()) -> dict:
+def json_fits(value, shape) -> bool:
+    """Whether parsed JSON ``value`` has ``shape``: a Python type (``float``
+    accepts an int; neither number type accepts a bool), ``[s]`` for a list
+    of items of shape ``s``, ``{str: s}`` for an object whose values have
+    shape ``s``, or ``{"name": s, ...}`` for an object with at least those
+    fields, each of its shape."""
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(json_fits(v, shape[0]) for v in value)
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return False
+        if str in shape:
+            return all(json_fits(v, shape[str]) for v in value.values())
+        return all(name in value and json_fits(value[name], s) for name, s in shape.items())
+    if isinstance(value, bool):
+        return shape is bool
+    return isinstance(value, (int, float) if shape is float else shape)
+
+
+def load_json_artifact(path: str | Path, kind: str, fields: dict) -> dict:
     """A JSON artifact's top-level object; DataError if it does not parse (a
-    cut or corrupt file), is not an object, or lacks one of ``fields``."""
+    cut or corrupt file), is not an object, lacks one of ``fields`` or has
+    one whose value does not have its ``json_fits`` shape."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -493,6 +513,9 @@ def load_json_artifact(path: str | Path, kind: str, fields=()) -> dict:
     missing = [name for name in fields if name not in payload]
     if missing:
         raise DataError(f"{path}: {kind} file lacks {', '.join(missing)}")
+    wrong = [name for name, shape in fields.items() if not json_fits(payload[name], shape)]
+    if wrong:
+        raise DataError(f"{path}: {kind} file has a malformed {', '.join(wrong)}")
     return payload
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import blob_floats, load_blob, save_blob
+from .dataset import blob_floats, json_fits, load_blob, save_blob
 from .errors import (
     CacheMismatch,
     DataError,
@@ -147,18 +147,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "softmax":
-        return softmax(z)
-    return z
-
-
 @dataclass
 class ForwardCache:
-    """Everything backward needs: per-layer inputs, pre-activations, and the
-    dropout masks actually drawn (already scaled by 1/(1-rate))."""
+    """Everything backward needs, one record per layer of a train-mode pass:
+    a dense layer's ``(input, output)`` (relu backward uses ``output > 0``),
+    a dropout layer's ``(keep, scale)``, the bool mask actually drawn and
+    1/(1-rate), or ``(None, None)`` when the rate is 0. Infer mode records
+    nothing."""
 
     mode: str
     dropout_seed: int
@@ -175,7 +170,8 @@ def forward(
     dropout_seed: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network; in train mode dropout uses inverted scaling so
-    inference is a pure matrix pipeline."""
+    inference is a pure matrix pipeline. Each layer works in place on arrays
+    this call allocates; the caller's batch is never written."""
     if mode not in ("train", "infer"):
         raise DataError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(batch, dtype=np.float64)
@@ -184,25 +180,38 @@ def forward(
     if x.shape[1] != spec.input_dim:
         raise ShapeMismatch(f"batch width {x.shape[1]} != network input {spec.input_dim}")
     cache = ForwardCache(mode=mode, dropout_seed=dropout_seed, n=x.shape[0])
-    rng = make_rng(dropout_seed) if mode == "train" else None
+    train = mode == "train"
+    rng = make_rng(dropout_seed) if train else None
+    owned = False  # x is the caller's batch until a layer replaces it
     dense_idx = 0
     for layer in spec.layers:
         if isinstance(layer, Dense):
-            z = x @ params.weights[dense_idx] + params.biases[dense_idx]
-            out = _activate(z, layer.activation)
-            if out.size and not np.isfinite(out).all():
+            x_in = x
+            x = x_in @ params.weights[dense_idx]
+            x += params.biases[dense_idx]
+            if layer.activation == "relu":
+                np.maximum(x, 0.0, out=x)
+            elif layer.activation == "softmax":
+                x = softmax(x)
+            if x.size and not np.isfinite(x).all():
                 raise NonFiniteActivation(f"non-finite activation after dense layer {dense_idx}")
-            cache.records.append(("dense", x, z))
-            x = out
+            if train:
+                cache.records.append((x_in, x))
+            owned = True
             dense_idx += 1
-        else:
-            if mode == "train" and layer.rate > 0.0:
-                keep = rng.random(x.shape) >= layer.rate
-                scaled_mask = keep / (1.0 - layer.rate)
-                x = x * scaled_mask
-                cache.records.append(("dropout", scaled_mask))
+        elif train and layer.rate > 0.0:
+            # float64 uniforms keep the seeded stream; (x*1)*s == x*s and a
+            # dropped unit keeps the sign of its zero, so this matches x*(keep*s)
+            keep = rng.random(x.shape) >= layer.rate
+            scale = 1.0 / (1.0 - layer.rate)
+            if owned:
+                x *= keep
             else:
-                cache.records.append(("dropout", None))
+                x, owned = x * keep, True
+            x *= scale
+            cache.records.append((keep, scale))
+        elif train:
+            cache.records.append((None, None))
     cache.output = x
     return x, cache
 
@@ -254,8 +263,10 @@ def backward(
     """Exact gradients of (data loss + L2 term) for every weight and bias.
 
     The softmax + weighted-cross-entropy gradient is fused at the output:
-    (probs - onehot(y)) scaled per row by w[y]/n. Dropout masks are replayed
-    from the cache.
+    (probs - onehot(y)) scaled per row by w[y]/n. Dropout and relu masks are
+    applied in place to the carried gradient, which this call owns. The pass
+    stops at the first dense layer: nothing reads the gradient with respect
+    to the input batch.
     """
     if cache.mode != "train":
         raise CacheMismatch("backward needs a cache from a train-mode forward pass")
@@ -273,12 +284,9 @@ def backward(
         if ((labels < 1) | (labels > k)).any():
             raise LabelOutOfRange(f"labels must lie in 1..{k}")
         w = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
-        probs = cache.output
-        delta = probs.copy()
-        delta[np.arange(n), labels - 1] -= 1.0
-        delta *= (w[labels - 1] / n)[:, None]
-        carry = delta  # gradient w.r.t. the final pre-activation
-        fused_final = True
+        carry = cache.output.copy()  # becomes the final pre-activation gradient
+        carry[np.arange(n), labels - 1] -= 1.0
+        carry *= (w[labels - 1] / n)[:, None]
     elif loss_kind == "mse":
         if final.activation == "softmax":
             raise CacheMismatch("mse over a softmax output is not supported")
@@ -286,34 +294,30 @@ def backward(
         if target.shape != cache.output.shape:
             raise ShapeMismatch("mse target shape differs from network output")
         carry = 2.0 * (cache.output - target) / cache.output.size
-        fused_final = False
     else:
         raise DataError(f"unknown loss kind {loss_kind!r}")
 
     grads = Parameters.wrap(np.zeros(params.flat.size), params.layout)
     dense_idx = len(dense) - 1
-    last_record = len(spec.layers) - 1
-    for i in range(last_record, -1, -1):
-        record = cache.records[i]
-        layer = spec.layers[i]
-        if record[0] == "dropout":
-            if record[1] is not None:
-                carry = carry * record[1]
+    for layer, record in zip(reversed(spec.layers), reversed(cache.records)):
+        if isinstance(layer, Dropout):
+            keep, scale = record
+            if keep is not None:
+                carry *= keep
+                carry *= scale
             continue
-        _, x_in, z = record
-        if isinstance(layer, Dense):
-            if fused_final and i == last_record:  # the final layer is always dense
-                dz = carry  # already the pre-activation gradient
-            elif layer.activation == "relu":
-                dz = carry * (z > 0)
-            else:  # linear
-                dz = carry
-            gw, gb = grads.weights[dense_idx], grads.biases[dense_idx]
-            np.matmul(x_in.T, dz, out=gw)
-            gw += spec.l2_penalty * params.weights[dense_idx]
-            dz.sum(axis=0, out=gb)
-            carry = dz @ params.weights[dense_idx].T
-            dense_idx -= 1
+        x_in, out = record
+        if layer.activation == "relu":
+            carry *= out > 0
+        # a softmax layer is final and fused above; linear passes carry through
+        gw, gb = grads.weights[dense_idx], grads.biases[dense_idx]
+        np.matmul(x_in.T, carry, out=gw)
+        gw += spec.l2_penalty * params.weights[dense_idx]
+        carry.sum(axis=0, out=gb)
+        if dense_idx == 0:
+            break
+        carry = carry @ params.weights[dense_idx].T
+        dense_idx -= 1
     return grads
 
 
@@ -454,14 +458,27 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     return {"layers": layers, "l2_penalty": spec.l2_penalty}
 
 
-def spec_from_dict(obj: dict) -> NetworkSpec:
+_LAYER_FIELDS = {
+    "dense": (Dense, {"fan_in": int, "fan_out": int, "activation": str}),
+    "dropout": (Dropout, {"rate": float}),
+}
+
+
+def spec_from_dict(obj) -> NetworkSpec:
+    """The network ``spec_to_dict`` describes; DataError if ``obj`` lacks the
+    layer list, or a layer entry is not an object with its type's fields."""
+    if not json_fits(obj, {"layers": [{"type": str}]}):
+        raise DataError("model spec lacks a list of layer objects with a type")
     layers: list = []
     for entry in obj["layers"]:
-        if entry["type"] == "dense":
-            layers.append(Dense(entry["fan_in"], entry["fan_out"], entry["activation"]))
-        else:
-            layers.append(Dropout(entry["rate"]))
-    return NetworkSpec(tuple(layers), obj.get("l2_penalty", 0.0))
+        layer_type, fields = _LAYER_FIELDS.get(entry["type"], (None, None))
+        if layer_type is None or not json_fits(entry, fields):
+            raise DataError(f"malformed model layer {entry!r}")
+        layers.append(layer_type(*(entry[name] for name in fields)))
+    l2_penalty = obj.get("l2_penalty", 0.0)
+    if not json_fits(l2_penalty, float):
+        raise DataError(f"malformed model l2_penalty {l2_penalty!r}")
+    return NetworkSpec(tuple(layers), l2_penalty)
 
 
 def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: dict | None = None) -> None:
@@ -471,7 +488,10 @@ def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: di
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
     manifest, blob = load_blob(path, MODEL_FORMAT, "model")
-    spec = spec_from_dict(manifest["spec"])
+    try:
+        spec = spec_from_dict(manifest.get("spec"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
     flat = blob_floats(path, blob, layout[-1][1]).copy()
     return spec, Parameters.wrap(flat, layout), manifest.get("meta", {})

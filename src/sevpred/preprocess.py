@@ -277,12 +277,14 @@ def save_splits(path: str | Path, splits: SplitIndices) -> None:
 
 
 def load_splits(path: str | Path) -> SplitIndices:
-    payload = load_json_artifact(path, "splits", ("train", "val", "test", "seed"))
+    payload = load_json_artifact(
+        path, "splits", {"train": [int], "val": [int], "test": [int], "seed": int}
+    )
     return SplitIndices(
         train=np.asarray(payload["train"], dtype=np.int64),
         val=np.asarray(payload["val"], dtype=np.int64),
         test=np.asarray(payload["test"], dtype=np.int64),
-        seed=int(payload["seed"]),
+        seed=payload["seed"],
     )
 
 
@@ -302,9 +304,13 @@ def save_preprocessor(
 
 
 def load_preprocessor(path: str | Path) -> tuple[OneHotCodec, Standardizer, list[str]]:
-    payload = load_json_artifact(path, "preprocessor", ("one_hot", "standardizer", "column_order"))
+    payload = load_json_artifact(path, "preprocessor", {
+        "one_hot": {str: [str]},
+        "standardizer": {str: {"mean": float, "std": float}},
+        "column_order": [str],
+    })
     return (
         OneHotCodec.from_dict(payload["one_hot"]),
         Standardizer.from_dict(payload["standardizer"]),
-        list(payload["column_order"]),
+        payload["column_order"],
     )

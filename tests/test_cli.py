@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sevpred import Dense, Dropout, NetworkSpec, init_params, save_model
 from sevpred.cli import DEFAULTS, main
 from tests.conftest import strip_meta
 
@@ -90,6 +91,55 @@ class TestPreprocessTrainChain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
         assert name in err["error"]["message"]
+
+    @pytest.mark.parametrize("name, field, value, command", [
+        ("splits.json", "train", "x", "train"),
+        ("splits.json", "seed", None, "train"),
+        ("targets.json", "labels", ["x"], "train"),
+        ("targets.json", "target_cardinality", 4.0, "train"),
+        ("preprocessor.json", "one_hot", [], "predict"),
+        ("preprocessor.json", "standardizer", {"x": {"mean": "0", "std": 1.0}}, "predict"),
+        ("preprocessor.json", "column_order", [1], "predict"),
+        ("selection.json", "selected", "x", "preprocess"),
+    ])
+    def test_wrong_typed_json_field_exit_2(self, csv_workspace, capsys, name, field, value, command):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        path = csv_workspace / "out" / name
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, command) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert name in err["error"]["message"] and field in err["error"]["message"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("spec"),
+        lambda m: m["spec"].pop("layers"),
+        lambda m: m["spec"]["layers"].__setitem__(0, "dense"),
+        lambda m: m["spec"]["layers"][0].pop("fan_out"),
+        lambda m: m["spec"]["layers"][0].update(fan_in="4"),
+        lambda m: m["spec"]["layers"][1].update(type="pool"),
+        lambda m: m["spec"].update(l2_penalty=[]),
+    ], ids=["no-spec", "no-layers", "entry-not-object", "entry-lacks-field",
+            "field-wrong-type", "unknown-type", "l2-wrong-type"])
+    def test_malformed_model_spec_exit_2(self, csv_workspace, capsys, edit):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        path = csv_workspace / "bad.model"
+        spec = NetworkSpec((Dense(4, 3, "relu"), Dropout(0.2), Dense(3, 2, "softmax")))
+        save_model(path, spec, init_params(spec))
+        line, blob = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(line)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={path}") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert str(path) in err["error"]["message"]
 
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2

@@ -13,7 +13,13 @@ from sevpred import (
     summarize,
     write_csv,
 )
-from sevpred.dataset import factorize, largest_remainder_counts, load_schema, schema_to_dict
+from sevpred.dataset import (
+    factorize,
+    json_fits,
+    largest_remainder_counts,
+    load_schema,
+    schema_to_dict,
+)
 from sevpred.errors import (
     AllMissingColumn,
     DataError,
@@ -276,3 +282,21 @@ class TestFactorize:
         codes, labels = factorize(np.array([], dtype=object))
         assert codes.dtype == np.int64
         assert len(codes) == 0 and len(labels) == 0
+
+
+class TestJsonFits:
+    @pytest.mark.parametrize("value, shape", [
+        (3, int), (3, float), (2.5, float), (True, bool), ("a", str),
+        ([], [int]), ([1, 2], [int]), ({"a": ["x"], "b": []}, {str: [str]}),
+        ({"mean": 0, "std": 1.5, "extra": None}, {"mean": float, "std": float}),
+    ])
+    def test_fits(self, value, shape):
+        assert json_fits(value, shape)
+
+    @pytest.mark.parametrize("value, shape", [
+        (True, int), (False, float), (2.5, int), ("1", int), (None, int),
+        ("ab", [str]), ([1, "x"], [int]), ([[1]], [int]), ([], {str: [str]}),
+        ({"a": 1}, {str: [str]}), ({"mean": 0}, {"mean": float, "std": float}),
+    ])
+    def test_does_not_fit(self, value, shape):
+        assert not json_fits(value, shape)

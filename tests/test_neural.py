@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sevpred import (
     Parameters,
     adam_step,
     backward,
+    build_classifier,
     compute_class_weights,
     forward,
     gradient_check,
@@ -136,6 +138,24 @@ class TestForward:
         out, _ = forward(spec, params, x, mode="train", dropout_seed=123)
         np.testing.assert_allclose(out.mean(axis=0), 1.0, rtol=0.01)
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("layers", [
+        (Dense(6, 8, "relu"), Dropout(0.5), Dense(8, 3, "softmax")),
+        (Dropout(0.5), Dense(6, 8, "linear"), Dropout(0.3), Dense(8, 6, "relu")),
+    ], ids=["dense-first", "dropout-first"])
+    def test_batch_left_untouched(self, layers, mode):
+        spec = NetworkSpec(layers)
+        x = np.random.default_rng(0).normal(size=(20, 6))
+        before = x.tobytes()
+        forward(spec, init_params(spec, seed=0), x, mode=mode, dropout_seed=1)
+        assert x.tobytes() == before
+
+    def test_infer_cache_has_no_records(self):
+        spec = NetworkSpec((Dense(6, 8, "relu"), Dropout(0.5), Dense(8, 3, "softmax")))
+        out, cache = forward(spec, init_params(spec, seed=0), np.ones((4, 6)), mode="infer")
+        assert cache.records == []
+        assert cache.output is out
+
 
 class TestLosses:
     def test_perfect_prediction_zero_loss(self):
@@ -209,6 +229,22 @@ class TestBackward:
         with pytest.raises(CacheMismatch):
             backward(spec, params, cache, "weighted_ce", np.array([1]))
 
+    def test_no_gradient_with_respect_to_the_batch(self):
+        class NoTranspose(np.ndarray):
+            @property
+            def T(self):
+                raise AssertionError("backward transposed the first layer's weights")
+
+        spec = NetworkSpec((Dense(4, 6, "relu"), Dense(6, 3, "softmax")), l2_penalty=0.01)
+        params = init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(8, 4)), rng.integers(1, 4, size=8)
+        _, cache = forward(spec, params, x, mode="train")
+        expected = backward(spec, params, cache, "weighted_ce", y).flat
+        params.weights[0] = params.weights[0].view(NoTranspose)
+        grads = backward(spec, params, cache, "weighted_ce", y)
+        np.testing.assert_array_equal(grads.flat, expected)
+
 
 class TestGradientCheck:
     def test_linear_mse_is_essentially_exact(self):
@@ -238,6 +274,18 @@ class TestGradientCheck:
         x = rng.normal(size=(12, 5))
         assert gradient_check(spec, params, x, "mse", x, seed=2) < 1e-5
 
+    def test_leading_dropout_and_linear_hidden_layer(self):
+        spec = NetworkSpec(
+            (Dropout(0.3), Dense(6, 10, "linear"), Dropout(0.2), Dense(10, 8, "relu"),
+             Dense(8, 3, "softmax")),
+            l2_penalty=0.001,
+        )
+        params = init_params(spec, seed=7)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(14, 6))
+        y = rng.integers(1, 4, size=14)
+        assert gradient_check(spec, params, x, "weighted_ce", y, seed=3) < 1e-5
+
     def test_corrupted_gradient_detected(self):
         spec = NetworkSpec((Dense(4, 6, "relu"), Dense(6, 3, "softmax")))
         params = init_params(spec, seed=6)
@@ -264,6 +312,42 @@ class TestGradientCheck:
             bad = corrupted[arr_idx].flat[flat]
             worst = max(worst, abs(bad - numeric) / max(abs(bad), abs(numeric), 1e-8))
         assert worst > 1e-3
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs; tracemalloc sees numpy buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """One pass of the classifier at width 300 on a 2000 x 300 batch allocates
+    a small multiple of the batch: each layer keeps its output and a bool
+    dropout mask, and infer mode keeps nothing once a layer is done."""
+
+    @pytest.fixture
+    def net(self):
+        spec = build_classifier(ClassifierConfig(initial_neurons=300), input_dim=300, n_classes=4)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2000, 300))
+        return spec, init_params(spec, seed=0), x, rng.integers(1, 5, size=2000)
+
+    def test_train_forward_and_backward(self, net):
+        spec, params, x, y = net
+
+        def step():
+            _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
+            backward(spec, params, cache, "weighted_ce", y)
+
+        assert _traced_peak(step) <= 5 * x.nbytes
+
+    def test_infer_forward(self, net):
+        spec, params, x, _ = net
+        assert _traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes
 
 
 class TestAdam:
