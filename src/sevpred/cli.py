@@ -44,6 +44,7 @@ from .models import (
 from .neural import load_model, save_model
 from .preprocess import (
     FeatureMatrix,
+    SplitIndices,
     assemble,
     fit_one_hot,
     fit_standardizer,
@@ -321,6 +322,9 @@ def stage_preprocess(config: PipelineConfig) -> dict:
         "meta": _meta("preprocess"),
     }
     _write_json(work / "targets.json", payload)
+    # targets.json keeps the labels for later stages; the printed summary
+    # stays small at any row count
+    del payload["labels"]
     return payload
 
 
@@ -339,10 +343,21 @@ def _load_features(config: PipelineConfig, *, encoded: bool) -> tuple[FeatureMat
     return features, labels, targets["target_cardinality"]
 
 
+def _load_splits(work: Path, n_rows: int) -> SplitIndices:
+    """The saved split; DataError if an index falls outside the feature
+    matrix's ``n_rows`` rows, where a negative one would count from the end."""
+    path = _require(work / "splits.json", "sevpred preprocess")
+    splits = load_splits(path)
+    for part, idx in splits.parts().items():
+        if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+            raise DataError(f"{path}: {part} index outside [0, {n_rows})")
+    return splits
+
+
 def stage_train_ae(config: PipelineConfig) -> dict:
     work = config.work_dir()
     features, _, _ = _load_features(config, encoded=False)
-    splits = load_splits(_require(work / "splits.json", "sevpred preprocess"))
+    splits = _load_splits(work, features.n)
     ae_cfg = config["autoencoder"]
     cfg = AutoencoderConfig(
         input_dim=features.d,
@@ -399,7 +414,7 @@ def stage_train(config: PipelineConfig) -> dict:
     encoded = bool(config["train"]["use_encoder"])
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(config, encoded=encoded)
-    splits = load_splits(_require(work / "splits.json", "sevpred preprocess"))
+    splits = _load_splits(work, features.n)
 
     cfg = _classifier_config(config, derive_seed(config.seed(), f"train{suffix}"))
     weights = _maybe_weights(config, labels[splits.train], k)
@@ -433,7 +448,7 @@ def stage_train(config: PipelineConfig) -> dict:
 def stage_grid(config: PipelineConfig) -> dict:
     work = config.work_dir()
     features, labels, k = _load_features(config, encoded=False)
-    splits = load_splits(_require(work / "splits.json", "sevpred preprocess"))
+    splits = _load_splits(work, features.n)
     g = config["grid"]
     grid = GridSpec(
         initial_neurons=tuple(g["initial_neurons"]),

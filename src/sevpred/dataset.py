@@ -157,15 +157,24 @@ def factorize(values) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.fromiter(index, dtype=values.dtype, count=len(index))
 
 
-def _parse_numeric(text: str) -> float | None:
-    text = text.strip()
-    if not text:
-        return None
+def _parse_numeric(text: str) -> float:
+    """A numeric cell's value, NaN if it is blank or does not parse."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        return None
-    return value if np.isfinite(value) else None
+        return np.nan
+
+
+def _numeric_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    # float() trims whitespace itself; only a column holding a cell that does
+    # not parse pays for the per-cell fallback
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        values = np.fromiter(map(_parse_numeric, cells), dtype=np.float64, count=len(cells))
+    missing = ~np.isfinite(values)
+    values[missing] = np.nan
+    return values, missing
 
 
 def _parse_target(text: str, cardinality: int, row: int) -> int | None:
@@ -184,10 +193,12 @@ def _parse_target(text: str, cardinality: int, row: int) -> int | None:
 def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = True) -> Table:
     """Load an RFC-4180 CSV into a Table, parsing cells per schema kind.
 
-    Unparseable numeric cells are marked missing; categorical/boolean cells
-    are taken verbatim (trimmed). Rows whose target cell is missing or
-    unparseable are dropped and counted in ``Table.n_dropped``. A parseable
-    target outside ``1..K`` raises :class:`TargetOutOfRange`.
+    Unparseable or non-finite numeric cells are marked missing;
+    categorical/boolean cells are taken verbatim (trimmed). A row shorter
+    than the header reads blank past its end, and an empty line is skipped.
+    Rows whose target cell is missing or unparseable are dropped and counted
+    in ``Table.n_dropped``. A parseable target outside ``1..K`` raises
+    :class:`TargetOutOfRange` with the row's index among the data lines.
 
     With ``require_target=False`` the target column may be absent from the
     header; all rows then receive the placeholder label 1 (used by ``predict``
@@ -211,50 +222,37 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
                 raise MissingColumn(name)
         rows = list(reader)
 
-    target_absent = target_name not in positions
-    raw: dict[str, list] = {n: [] for n in schema.names}
-    miss: dict[str, list] = {n: [] for n in schema.names}
-    n_dropped = 0
-    for i, row in enumerate(rows):
-        if not row:
-            continue
-        if target_absent:
-            tgt = 1
-        else:
-            pos = positions[target_name]
-            cell = row[pos] if pos < len(row) else ""
-            tgt = _parse_target(cell, schema.target_cardinality, i)
-            if tgt is None:
-                n_dropped += 1
-                continue
-        for name, kind in schema.columns:
-            if kind == ColumnKind.TARGET:
-                raw[name].append(tgt)
-                miss[name].append(False)
-                continue
-            pos = positions[name]
-            cell = row[pos] if pos < len(row) else ""
-            if kind == ColumnKind.NUMERIC:
-                value = _parse_numeric(cell)
-                raw[name].append(np.nan if value is None else value)
-                miss[name].append(value is None)
-            else:
-                text = cell.strip()
-                raw[name].append(text)
-                miss[name].append(not text)
+    # the target decides which rows are kept, so it is parsed first
+    if target_name in positions:
+        pos = positions[target_name]
+        kept, labels = [], []
+        for i, row in enumerate(rows):
+            if row:
+                label = _parse_target(row[pos] if pos < len(row) else "", schema.target_cardinality, i)
+                if label is not None:
+                    kept.append(row)
+                    labels.append(label)
+        target = np.array(labels, dtype=np.int64)
+    else:
+        kept = [row for row in rows if row]
+        target = np.ones(len(kept), dtype=np.int64)
+    n_dropped = sum(1 for row in rows if row) - len(kept)
+    width = max(positions.values(), default=-1) + 1
+    kept = [row if len(row) >= width else row + [""] * (width - len(row)) for row in kept]
 
-    n = len(raw[target_name])
     columns: dict[str, np.ndarray] = {}
     missing: dict[str, np.ndarray] = {}
     for name, kind in schema.columns:
+        if kind == ColumnKind.TARGET:
+            columns[name], missing[name] = target, np.zeros(len(kept), dtype=bool)
+            continue
+        pos = positions[name]
         if kind == ColumnKind.NUMERIC:
-            columns[name] = np.asarray(raw[name], dtype=np.float64)
-        elif kind == ColumnKind.TARGET:
-            columns[name] = np.asarray(raw[name], dtype=np.int64)
+            columns[name], missing[name] = _numeric_column([row[pos] for row in kept])
         else:
-            columns[name] = np.asarray(raw[name], dtype=object)
-        missing[name] = np.asarray(miss[name], dtype=bool)
-    return Table(schema, columns, missing, n, n_dropped)
+            columns[name] = np.array([row[pos].strip() for row in kept], dtype=object)
+            missing[name] = columns[name] == ""
+    return Table(schema, columns, missing, len(kept), n_dropped)
 
 
 def write_csv(table: Table, path: str | Path) -> None:
@@ -463,21 +461,20 @@ def save_blob(path: str | Path, manifest: dict, arrays) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(manifest).encode("utf-8") + b"\n")
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            # a byte view of the array itself, so the data is not copied
+            fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8").reshape(-1).view(np.uint8)))
 
 
-def load_blob(path: str | Path, fmt: str, kind: str) -> tuple[dict, bytes]:
-    """Manifest and raw blob; DataError if the manifest line does not parse
-    (a cut or corrupt file) or names another format."""
-    with open(path, "rb") as fh:
-        line, blob = fh.readline(), fh.read()
+def read_manifest(fh, path: str | Path, fmt: str, kind: str) -> dict:
+    """The manifest line of the blob file open as ``fh``; DataError if it does
+    not parse (a cut or corrupt file) or names another format."""
     try:
-        manifest = json.loads(line)
+        manifest = json.loads(fh.readline())
     except ValueError:
         raise DataError(f"{path}: unreadable {kind} manifest") from None
     if not isinstance(manifest, dict) or manifest.get("format") != fmt:
         raise DataError(f"{path}: not a {kind} file")
-    return manifest, blob
+    return manifest
 
 
 def json_fits(value, shape) -> bool:
@@ -519,9 +516,14 @@ def load_json_artifact(path: str | Path, kind: str, fields: dict) -> dict:
     return payload
 
 
-def blob_floats(path: str | Path, blob: bytes, count: int) -> np.ndarray:
-    """The blob as a read-only view of ``count`` float64 values; DataError if
-    its length differs (a cut or padded file)."""
-    if len(blob) != 8 * count:
-        raise DataError(f"{path}: {len(blob)} data bytes where the manifest implies {8 * count}")
-    return np.frombuffer(blob, dtype="<f8")
+def read_floats(fh, path: str | Path, count: int) -> np.ndarray:
+    """The rest of the blob file open as ``fh``, read straight into one
+    writable array of ``count`` float64 values; DataError if its length
+    differs (a cut or padded file)."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != 8 * count:
+        raise DataError(f"{path}: {size} data bytes where the manifest implies {8 * count}")
+    values = np.empty(count, dtype="<f8")
+    if fh.readinto(values.view(np.uint8)) != size:
+        raise DataError(f"{path}: data section changed while it was read")
+    return values

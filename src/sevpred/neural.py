@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import blob_floats, json_fits, load_blob, save_blob
+from .dataset import json_fits, read_floats, read_manifest, save_blob
 from .errors import (
     CacheMismatch,
     DataError,
@@ -487,11 +487,12 @@ def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: di
 
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
-    manifest, blob = load_blob(path, MODEL_FORMAT, "model")
-    try:
-        spec = spec_from_dict(manifest.get("spec"))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
-    flat = blob_floats(path, blob, layout[-1][1]).copy()
+    with open(path, "rb") as fh:
+        manifest = read_manifest(fh, path, MODEL_FORMAT, "model")
+        try:
+            spec = spec_from_dict(manifest.get("spec"))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
+        flat = read_floats(fh, path, layout[-1][1])
     return spec, Parameters.wrap(flat, layout), manifest.get("meta", {})

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ColumnKind, Table, factorize, largest_remainder_counts
-from .dataset import atomic_write, blob_floats, load_blob, load_json_artifact, save_blob
+from .dataset import atomic_write, load_json_artifact, read_floats, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import make_rng
 
@@ -120,24 +120,10 @@ def transform_one_hot(codec: OneHotCodec, table: Table, columns=None) -> tuple[n
     at fit time (those rows get an all-zero vector in that block).
     """
     names = list(codec.categories) if columns is None else list(columns)
-    blocks = []
-    unseen = 0
     for name in names:
         if name not in codec.categories:
             raise UnknownColumn(name)
-        k = len(codec.categories[name])
-        # the fitted categories come first, so a cell's code is its fitted
-        # index, or k or more for a category unseen at fit time
-        cells = np.concatenate([np.array(codec.categories[name], dtype=object), _as_text(table.columns[name])])
-        codes = factorize(cells)[0][k:]
-        hit = np.flatnonzero(codes < k)
-        block = np.zeros((table.n_rows, k))
-        block[hit, codes[hit]] = 1.0
-        unseen += table.n_rows - len(hit)
-        blocks.append(block)
-    if not blocks:
-        return np.zeros((table.n_rows, 0)), 0
-    return np.hstack(blocks), unseen
+    return _encode(table, names, codec, Standardizer({}))
 
 
 def fit_standardizer(table: Table, columns, rows=None) -> Standardizer:
@@ -157,15 +143,36 @@ def fit_standardizer(table: Table, columns, rows=None) -> Standardizer:
 def transform_standardize(standardizer: Standardizer, table: Table, columns=None) -> np.ndarray:
     """z = (x - mean) / std per column; zero-variance columns map to zeros."""
     names = list(standardizer.moments) if columns is None else list(columns)
-    out = np.zeros((table.n_rows, len(names)))
-    for j, name in enumerate(names):
+    for name in names:
         if name not in standardizer.moments:
             raise UnknownColumn(name)
-        mean, std = standardizer.moments[name]
-        values = np.asarray(table.columns[name], dtype=np.float64)
-        if std > 0:
-            out[:, j] = (values - mean) / std
-    return out
+    return _encode(table, names, OneHotCodec({}), standardizer)[0]
+
+
+def _encode(
+    table: Table, names: list[str], codec: OneHotCodec, standardizer: Standardizer
+) -> tuple[np.ndarray, int]:
+    """The n x d encoding of ``names``, each fitted by ``standardizer`` or
+    else by ``codec``, written column slice by column slice into one zeroed
+    array, and the count of cells whose category was unseen at fit time."""
+    widths = [1 if name in standardizer.moments else codec.width(name) for name in names]
+    out = np.zeros((table.n_rows, sum(widths)))
+    start = unseen = 0
+    for name, k in zip(names, widths):
+        if name in standardizer.moments:
+            mean, std = standardizer.moments[name]
+            if std > 0:
+                out[:, start] = (np.asarray(table.columns[name], dtype=np.float64) - mean) / std
+        else:
+            # the fitted categories come first, so a cell's code is its fitted
+            # index, or k or more for a category unseen at fit time
+            cells = np.concatenate([np.array(codec.categories[name], dtype=object), _as_text(table.columns[name])])
+            codes = factorize(cells)[0][k:]
+            hit = np.flatnonzero(codes < k)
+            out[hit, start + codes[hit]] = 1.0
+            unseen += table.n_rows - len(hit)
+        start += k
+    return out, unseen
 
 
 def assemble(
@@ -183,21 +190,15 @@ def assemble(
     if column_order is None:
         fitted = set(codec.categories) | set(standardizer.moments)
         column_order = [n for n in table.schema.names if n in fitted]
-    blocks = []
     labels: list[str] = []
     for name in column_order:
         if name in standardizer.moments:
-            blocks.append(transform_standardize(standardizer, table, [name]))
             labels.append(name)
         elif name in codec.categories:
-            block, _ = transform_one_hot(codec, table, [name])
-            blocks.append(block)
             labels.extend(f"{name}={c}" for c in codec.categories[name])
         else:
             raise DimensionMismatch(f"column {name!r} not fitted by codec or standardizer")
-    if not blocks:
-        return FeatureMatrix(np.zeros((table.n_rows, 0)), ())
-    return FeatureMatrix(np.hstack(blocks), tuple(labels))
+    return FeatureMatrix(_encode(table, list(column_order), codec, standardizer)[0], tuple(labels))
 
 
 def stratified_allocate(labels, ratios, seed: int) -> list[np.ndarray]:
@@ -259,9 +260,10 @@ def save_feature_matrix(path: str | Path, fm: FeatureMatrix) -> None:
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    manifest, blob = load_blob(path, FMX_FORMAT, "feature-matrix")
-    n, d = manifest["n"], manifest["d"]
-    values = blob_floats(path, blob, n * d).reshape(n, d).copy()
+    with open(path, "rb") as fh:
+        manifest = read_manifest(fh, path, FMX_FORMAT, "feature-matrix")
+        n, d = manifest["n"], manifest["d"]
+        values = read_floats(fh, path, n * d).reshape(n, d)
     return FeatureMatrix(values, tuple(manifest["labels"]))
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -79,3 +80,13 @@ def strip_meta(payload):
     if isinstance(payload, list):
         return [strip_meta(v) for v in payload]
     return payload
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs; tracemalloc sees numpy buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

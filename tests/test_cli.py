@@ -1,4 +1,6 @@
 import copy
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +63,15 @@ class TestPreprocessTrainChain:
 
         latent = load_feature_matrix(out / "latent.fmx")
         assert latent.d == 4  # configured latent width
+
+    def test_preprocess_prints_summary_without_labels(self, csv_workspace, capsys):
+        assert run_cmd(csv_workspace, "associate") == 0
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "preprocess") == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert "labels" not in printed
+        assert printed["n_rows"] == 400 and "split_sizes" in printed
+        assert len(read_json(csv_workspace, "targets.json")["labels"]) == 400
 
     def test_truncated_features_exit_2(self, csv_workspace, capsys):
         for cmd in ("associate", "preprocess"):
@@ -140,6 +151,21 @@ class TestPreprocessTrainChain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
         assert str(path) in err["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["train", "train-ae", "grid"])
+    @pytest.mark.parametrize("index", [99999, -1])
+    def test_split_index_out_of_range_exit_2(self, csv_workspace, capsys, command, index):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        path = csv_workspace / "out" / "splits.json"
+        payload = json.loads(path.read_text())
+        payload["train"][0] = index
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, command) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "splits.json" in err["error"]["message"]
 
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2
@@ -291,3 +317,71 @@ class TestConfigPlumbing:
         assert run_cmd(csv_workspace, "stats") == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "classifier.epoch" in err["error"]["message"]
+
+
+@pytest.fixture
+def messy_workspace(csv_workspace):
+    """The workspace's CSV rewritten with the target column first and cells
+    that exercise every ingest rule: blanks, padded cells, non-finite and
+    unparseable numbers, quoted commas, short rows, empty lines and blank or
+    unparseable targets."""
+    path = csv_workspace / "data.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    order = [header.index("severity")] + [j for j, name in enumerate(header) if name != "severity"]
+    header, rows = [header[j] for j in order], [[row[j] for j in order] for row in rows]
+    rng = np.random.default_rng(11)
+    odd = {"num": ["", " ", "nan", "inf", "-inf", "1e309", "1_000", "abc"],
+           "cat": ["", " ", "a,b", '"q"', "k1 "]}
+    out = []
+    for i, row in enumerate(rows):
+        for j in range(1, len(row)):
+            u = rng.random()
+            if u < 0.05:
+                cells = odd["num" if header[j].startswith("num_") else "cat"]
+                row[j] = cells[rng.integers(len(cells))]
+            elif u < 0.1:
+                row[j] = f"  {row[j]}\t"
+        if i % 50 == 7:
+            row[0] = ["", " ", "x", "2x"][i // 50 % 4]
+        if i % 40 == 3:
+            row = row[: 1 + i % 3]
+        out.append(row)
+        if i % 90 == 0:
+            out.append([])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(out)
+    return csv_workspace
+
+
+class TestGoldenArtifacts:
+    """Byte identity of the data-preparation artifacts at a fixed seed.
+
+    The digests were captured from the per-cell ingest and the block-stacking
+    assemble that preceded the columnar ingest and the single-buffer
+    assemble; a change to any parsed cell, imputed value, selected feature,
+    split or matrix entry fails here."""
+
+    DIGESTS = {
+        "stats.json": "c4732ec8c884d95ca3288ec9c9195be1698d21eef438611579d6562f88a7a463",
+        "selection.json": "d61cc61883d8b87dcdbfc384c703ee4212a758db16b537139457b1f70191bd3b",
+        "targets.json": "f375931663041447450fa6cd55bf018ae757f4360c68e8bee294e5965373937b",
+        "association_matrix.csv": "006f10dce91e4e174fa4a853c4c851aa6386f7da48c135688bfe3287eb0db83f",
+        "features.fmx": "ac96750f2ed6b301cdba95c098f4282cb7fd98729a8de537f998be38608e70c4",
+        "splits.json": "d438f345f5f0a6bae5ba3745377dd3c782f65f0b2e0bfe62d9ed4c4766fe5dfd",
+        "preprocessor.json": "81d726dbaa42cc6d1682aea1d6f0d840bb684de8594903c655999402da1aaf9f",
+    }
+
+    def test_stats_associate_preprocess_chain(self, messy_workspace):
+        for cmd in ("stats", "associate", "preprocess"):
+            assert run_cmd(messy_workspace, cmd) == 0, cmd
+        out = messy_workspace / "out"
+        digests = {}
+        for name in self.DIGESTS:
+            data = (out / name).read_bytes()
+            if name in ("stats.json", "selection.json", "targets.json"):
+                data = json.dumps(strip_meta(json.loads(data)), sort_keys=True).encode()
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.DIGESTS

@@ -1,5 +1,12 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevpred import (
     ColumnKind,
@@ -134,6 +141,106 @@ class TestIngest:
                 np.testing.assert_array_equal(back.columns[name], imputed.columns[name])
             else:
                 assert back.columns[name].tolist() == imputed.columns[name].tolist()
+
+
+def reference_ingest(path, schema, require_target=True):
+    """Per-cell reading of the rules ``ingest_csv`` applies column by column:
+    (columns, missing masks, n_rows, n_dropped) as lists."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    header = [h.strip() for h in header]
+    target, k = schema.target, schema.target_cardinality
+    labeled = target in header or require_target
+    columns = {name: [] for name in schema.names}
+    missing = {name: [] for name in schema.names}
+    n_dropped = 0
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+
+        def cell(name):
+            j = header.index(name)
+            return row[j].strip() if j < len(row) else ""
+
+        label = 1
+        if labeled:
+            try:
+                value = float(cell(target))
+            except ValueError:
+                n_dropped += 1
+                continue
+            if not value.is_integer() or not 1 <= value <= k:
+                raise TargetOutOfRange(i, cell(target), k)
+            label = int(value)
+        for name, kind in schema.columns:
+            if kind == ColumnKind.TARGET:
+                columns[name].append(label)
+                missing[name].append(False)
+            elif kind == ColumnKind.NUMERIC:
+                try:
+                    x = float(cell(name))
+                except ValueError:
+                    x = math.nan
+                columns[name].append(x if math.isfinite(x) else math.nan)
+                missing[name].append(not math.isfinite(x))
+            else:
+                columns[name].append(cell(name))
+                missing[name].append(not cell(name))
+    return columns, missing, len(columns[target]), n_dropped
+
+
+NUMERIC_CELLS = ["", " ", "1", " 2.5 ", "-0", "3e2", "nan", "inf", "-inf", "1e309", "1_000",
+                 "abc", "\t4\u00a0", "0x10", "--1"]
+TEXT_CELLS = ["", " ", "a", " a ", "A", "a,b", '"q"', "Unknown", "x\ny", "\u00e9"]
+TARGET_CELLS = ["", " ", "1", "2", " 3 ", "4.0", "4", "x", "2_0", "nan", "5", "0", "1.5"]
+
+
+class TestIngestProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.permutations(SCHEMA.names),
+        labeled=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from(TARGET_CELLS),
+                st.sampled_from(NUMERIC_CELLS),
+                st.sampled_from(TEXT_CELLS),
+                st.sampled_from(TEXT_CELLS),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_matches_per_cell_reference(self, order, labeled, rows):
+        header = [name for name in order if labeled or name != "Severity"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for length, severity, temperature, city, signal in rows:
+                    cells = {"Severity": severity, "Temperature": temperature,
+                             "City": city, "Signal": signal}
+                    writer.writerow([cells[name] for name in header][:length])
+            try:
+                expected = reference_ingest(path, SCHEMA, require_target=labeled)
+            except TargetOutOfRange as exc:
+                with pytest.raises(TargetOutOfRange) as raised:
+                    ingest_csv(path, SCHEMA, require_target=labeled)
+                assert raised.value.row == exc.row
+                return
+            table = ingest_csv(path, SCHEMA, require_target=labeled)
+        columns, missing, n_rows, n_dropped = expected
+        assert (table.n_rows, table.n_dropped) == (n_rows, n_dropped)
+        for name, kind in SCHEMA.columns:
+            dtype = {ColumnKind.NUMERIC: np.float64, ColumnKind.TARGET: np.int64}.get(kind, object)
+            assert table.columns[name].dtype == dtype
+            if kind == ColumnKind.NUMERIC:
+                np.testing.assert_array_equal(table.columns[name], np.array(columns[name]))
+            else:
+                assert table.columns[name].tolist() == columns[name]
+            assert table.missing[name].dtype == bool
+            assert table.missing[name].tolist() == missing[name]
 
 
 class TestImpute:

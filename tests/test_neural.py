@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from sevpred.errors import (
     ShapeMismatch,
 )
 from sevpred.neural import l2_term, softmax, total_loss
+from tests.conftest import traced_peak
 
 
 class TestSpecValidation:
@@ -314,16 +314,6 @@ class TestGradientCheck:
         assert worst > 1e-3
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes allocated while ``fn`` runs; tracemalloc sees numpy buffers."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryBudget:
     """One pass of the classifier at width 300 on a 2000 x 300 batch allocates
     a small multiple of the batch: each layer keeps its output and a bool
@@ -343,11 +333,11 @@ class TestMemoryBudget:
             _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
             backward(spec, params, cache, "weighted_ce", y)
 
-        assert _traced_peak(step) <= 5 * x.nbytes
+        assert traced_peak(step) <= 5 * x.nbytes
 
     def test_infer_forward(self, net):
         spec, params, x, _ = net
-        assert _traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes
+        assert traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes
 
 
 class TestAdam:

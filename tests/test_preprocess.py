@@ -23,6 +23,7 @@ from sevpred.preprocess import (
     save_splits,
     stratified_allocate,
 )
+from tests.conftest import traced_peak
 
 
 def table_from(numeric=None, categorical=None, boolean=None, target=None):
@@ -208,6 +209,46 @@ class TestAssemble:
         fm1 = assemble(small_table, codec, standardizer)
         fm2 = assemble(small_table, codec2, standardizer2)
         np.testing.assert_array_equal(fm1.values, fm2.values)
+
+
+class TestMemoryBudget:
+    """The prep path holds the feature matrix once: ``assemble`` writes every
+    column into one array, a save writes that array's own bytes and a load
+    reads the file into one array. The slack over 1x is the finiteness mask
+    (1/8 of the matrix) and per-column index arrays."""
+
+    @pytest.fixture
+    def matrix(self):
+        rng = np.random.default_rng(0)
+        n = 3000
+        table = table_from(
+            numeric={f"x{j}": rng.normal(size=n) for j in range(6)},
+            categorical={f"c{j}": [f"v{v}" for v in rng.integers(0, 90, size=n)] for j in range(3)},
+        )
+        codec = fit_one_hot(table, ["c0", "c1", "c2"])
+        standardizer = fit_standardizer(table, [f"x{j}" for j in range(6)])
+        return table, codec, standardizer
+
+    def test_assemble(self, matrix):
+        table, codec, standardizer = matrix
+        fm = assemble(table, codec, standardizer)
+        assert fm.d > 250
+        assert traced_peak(lambda: assemble(table, codec, standardizer)) <= 1.3 * fm.values.nbytes
+
+    def test_save_feature_matrix(self, matrix, tmp_path):
+        fm = assemble(*matrix)
+        path = tmp_path / "f.fmx"
+        assert traced_peak(lambda: save_feature_matrix(path, fm)) <= 0.1 * fm.values.nbytes
+        np.testing.assert_array_equal(load_feature_matrix(path).values, fm.values)
+
+    def test_load_feature_matrix(self, matrix, tmp_path):
+        fm = assemble(*matrix)
+        path = tmp_path / "f.fmx"
+        save_feature_matrix(path, fm)
+        assert traced_peak(lambda: load_feature_matrix(path)) <= 1.3 * fm.values.nbytes
+        back = load_feature_matrix(path)
+        np.testing.assert_array_equal(back.values, fm.values)
+        assert back.values.flags.writeable
 
 
 class TestStratifiedSplit:
