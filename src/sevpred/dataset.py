@@ -166,12 +166,7 @@ def _parse_numeric(text: str) -> float:
 
 
 def _numeric_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    # float() trims whitespace itself; only a column holding a cell that does
-    # not parse pays for the per-cell fallback
-    try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        values = np.fromiter(map(_parse_numeric, cells), dtype=np.float64, count=len(cells))
+    values = np.fromiter(map(_parse_numeric, cells), dtype=np.float64, count=len(cells))
     missing = ~np.isfinite(values)
     values[missing] = np.nan
     return values, missing
