@@ -390,17 +390,7 @@ def stage_encode(config: PipelineConfig) -> dict:
 
 
 def _classifier_config(config: PipelineConfig, seed: int) -> ClassifierConfig:
-    c = config["classifier"]
-    return ClassifierConfig(
-        initial_neurons=c["initial_neurons"],
-        initial_dropout=c["initial_dropout"],
-        batch_size=c["batch_size"],
-        l2_penalty=c["l2_penalty"],
-        epochs=c["epochs"],
-        learning_rate=c["learning_rate"],
-        use_class_weights=c["use_class_weights"],
-        seed=seed,
-    )
+    return ClassifierConfig(**config["classifier"], seed=seed)
 
 
 def _maybe_weights(config: PipelineConfig, labels: np.ndarray, k: int) -> ClassWeights | None:
@@ -450,12 +440,7 @@ def stage_grid(config: PipelineConfig) -> dict:
     features, labels, k = _load_features(config, encoded=False)
     splits = _load_splits(work, features.n)
     g = config["grid"]
-    grid = GridSpec(
-        initial_neurons=tuple(g["initial_neurons"]),
-        initial_dropout=tuple(g["initial_dropout"]),
-        batch_size=tuple(g["batch_size"]),
-        l2_penalty=tuple(g["l2_penalty"]),
-    )
+    grid = GridSpec(**{key: tuple(values) for key, values in g.items()})
     base = _classifier_config(config, derive_seed(config.seed(), "grid-base"))
     weights = _maybe_weights(config, labels[splits.train], k)
     results = grid_search(
@@ -467,7 +452,7 @@ def stage_grid(config: PipelineConfig) -> dict:
         jobs=int(config["jobs"]), n_classes=k,
     )
     payload = {
-        "grid": {key: list(g[key]) for key in ("initial_neurons", "initial_dropout", "batch_size", "l2_penalty")},
+        "grid": {key: list(values) for key, values in g.items()},
         "n_cells": grid.size(),
         "ranked": [r.to_dict() for r in results],
         "meta": _meta("grid"),

@@ -146,6 +146,11 @@ class Table:
         return Table(self.schema, cols, miss, int(len(idx)), self.n_dropped)
 
 
+# str() of every cell, kept as Python strings (a numpy str array would drop
+# trailing NULs and merge categories that differ only by them)
+as_text = np.frompyfunc(str, 1, 1)
+
+
 def factorize(values) -> tuple[np.ndarray, np.ndarray]:
     """The package's one rule for category identity and order: ``labels``
     holds the distinct values (by Python equality) in first-appearance order
@@ -334,9 +339,11 @@ def summarize(table: Table) -> dict:
         elif kind == ColumnKind.TARGET:
             entry["distribution"] = class_distribution(table).tolist() if table.n_rows else []
         else:
-            cats, counts = np.unique(values.astype(str), return_counts=True) if values.size else ([], [])
-            order = np.argsort(counts)[::-1][:10] if len(cats) else []
-            entry["top_categories"] = [[str(cats[i]), int(counts[i])] for i in order]
+            codes, cats = factorize(as_text(values))
+            by_name = np.argsort(cats)  # Python string order breaks count ties
+            counts = np.bincount(codes, minlength=len(cats))[by_name]
+            top = np.argsort(counts)[::-1][:10]
+            entry["top_categories"] = [[cats[by_name[i]], int(counts[i])] for i in top]
         cols[name] = entry
     return {
         "n_rows": table.n_rows,

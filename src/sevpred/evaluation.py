@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -292,16 +292,7 @@ def grid_search(
             seed,
             "cell:{initial_neurons}:{initial_dropout}:{batch_size}:{l2_penalty}".format(**cell),
         )
-        cfg = ClassifierConfig(
-            initial_neurons=cell["initial_neurons"],
-            initial_dropout=cell["initial_dropout"],
-            batch_size=cell["batch_size"],
-            l2_penalty=cell["l2_penalty"],
-            epochs=base.epochs,
-            use_class_weights=base.use_class_weights,
-            seed=cell_seed,
-            learning_rate=base.learning_rate,
-        )
+        cfg = replace(base, **cell, seed=cell_seed)
         _, history = train_classifier(
             cfg, train_x, train_y, val_x, val_y,
             class_weights=class_weights, n_classes=n_classes,

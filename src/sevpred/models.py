@@ -125,11 +125,12 @@ def _feature_values(data) -> np.ndarray:
 
 def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size,
                 seed, learning_rate, on_epoch):
-    """Seeded-shuffle mini-batch training loop shared by both models.
+    """Seeded-shuffle mini-batch training loop shared by both models; it
+    updates ``params`` in place.
 
     ``targets`` is the label vector for classifiers or None for autoencoders
-    (whose target is the batch itself). ``on_epoch(epoch, params, train_loss)``
-    runs after each epoch.
+    (whose target is the batch itself). ``on_epoch(epoch, train_loss)`` runs
+    after each epoch.
     """
     n = x.shape[0]
     state = init_optimizer(params, learning_rate)
@@ -151,9 +152,8 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
                 data_loss = loss_mse(out, tb)
             batch_losses.append(data_loss + l2_term(spec, params))
             grads = backward(spec, params, cache, loss_kind, tb, weights)
-            params, state = adam_step(params, grads, state)
-        on_epoch(epoch, params, float(np.mean(batch_losses)))
-    return params
+            adam_step(params, grads, state)
+        on_epoch(epoch, float(np.mean(batch_losses)))
 
 
 def train_autoencoder(
@@ -170,12 +170,12 @@ def train_autoencoder(
     params = init_params(spec, derive_seed(cfg.seed, "init"))
     history = {"train_mse": [], "val_mse": []}
 
-    def on_epoch(epoch, current, train_loss):
-        recon, _ = forward(spec, current, val_x, mode="infer")
+    def on_epoch(epoch, train_loss):
+        recon, _ = forward(spec, params, val_x, mode="infer")
         history["train_mse"].append(train_loss)
         history["val_mse"].append(loss_mse(recon, val_x))
 
-    params = _run_epochs(
+    _run_epochs(
         spec, params, train_x, None, "mse", None,
         cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate, on_epoch,
     )
@@ -290,24 +290,27 @@ def train_classifier(
     spec = build_classifier(cfg, train_x.shape[1], n_classes)
     params = init_params(spec, derive_seed(cfg.seed, "init"))
     history = {"train_loss": [], "val_accuracy": [], "val_ber": [], "best_epoch": 0}
-    best = {"ber": np.inf, "params": params, "epoch": 0}
+    best = {"ber": np.inf, "epoch": 0}
+    # BER is finite, so epoch 0 improves on inf and fills this buffer
+    checkpoint = np.empty_like(params.flat)
 
-    def on_epoch(epoch, current, train_loss):
-        preds = predict(current, spec, val_x)
+    def on_epoch(epoch, train_loss):
+        preds = predict(params, spec, val_x)
         cm = confusion(preds, val_y, n_classes)
         val_ber = ber(cm)
         history["train_loss"].append(train_loss)
         history["val_accuracy"].append(accuracy(cm))
         history["val_ber"].append(val_ber)
         if val_ber < best["ber"]:
-            best.update(ber=val_ber, params=current, epoch=epoch)
+            best.update(ber=val_ber, epoch=epoch)
+            checkpoint[:] = params.flat
 
     _run_epochs(
         spec, params, train_x, train_y, "weighted_ce", weights,
         cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate, on_epoch,
     )
     history["best_epoch"] = best["epoch"]
-    return best["params"], history
+    return Parameters.wrap(checkpoint, params.layout), history
 
 
 def predict(params: Parameters, spec: NetworkSpec, features) -> np.ndarray:

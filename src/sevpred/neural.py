@@ -6,7 +6,8 @@ losses, an adaptive-moment optimizer, and a finite-difference gradient
 checker. No GPU, no mixed precision: desk-scale sizes keep 64-bit cheap and
 make gradient checks meaningful. Weights and biases live in one flat buffer,
 ``Parameters.flat``, with per-layer views; gradients, the optimizer's moments
-and a model file's blob share its layout.
+and a model file's blob share its layout. The optimizer updates that buffer
+and its moments in place, so a trainer that keeps a checkpoint copies it.
 
 Class labels are 1-based (severity 1..K) everywhere in the public API.
 """
@@ -156,7 +157,6 @@ class ForwardCache:
     nothing."""
 
     mode: str
-    dropout_seed: int
     records: list = field(default_factory=list)
     output: np.ndarray | None = None
     n: int = 0
@@ -179,7 +179,7 @@ def forward(
         raise ShapeMismatch("batch must be 2-D")
     if x.shape[1] != spec.input_dim:
         raise ShapeMismatch(f"batch width {x.shape[1]} != network input {spec.input_dim}")
-    cache = ForwardCache(mode=mode, dropout_seed=dropout_seed, n=x.shape[0])
+    cache = ForwardCache(mode=mode, n=x.shape[0])
     train = mode == "train"
     rng = make_rng(dropout_seed) if train else None
     owned = False  # x is the caller's batch until a layer replaces it
@@ -321,17 +321,19 @@ def backward(
     return grads
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+ADAM_BLOCK = 1 << 15  # elements per adam_step block, 256 KiB of float64
+
+
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators, flat and in ``Parameters.flat`` order."""
+    """Adaptive-moment accumulators, flat and in ``Parameters.flat`` order;
+    ``adam_step`` updates them in place."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(params: Parameters, learning_rate: float = 1e-3) -> OptimizerState:
@@ -339,31 +341,31 @@ def init_optimizer(params: Parameters, learning_rate: float = 1e-3) -> Optimizer
     return OptimizerState(m=zeros, v=zeros.copy(), learning_rate=learning_rate)
 
 
-def adam_step(
-    params: Parameters, grads: Parameters, state: OptimizerState
-) -> tuple[Parameters, OptimizerState]:
-    """One bias-corrected adaptive-moment update; returns fresh parameter and
-    state objects so callers can keep checkpoints by reference."""
-    t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    # fresh results updated in place: for a wide network every temporary is a
-    # large allocation whose pages fault in afresh
-    g = grads.flat
-    m = b1 * state.m
-    m += (1 - b1) * g
-    v = b2 * state.v
-    v += (1 - b2) * g * g
-    denom = np.sqrt(v / (1 - b2 ** t))
-    denom += state.eps
-    new_flat = state.learning_rate * (m / (1 - b1 ** t))
-    new_flat /= denom
-    np.subtract(params.flat, new_flat, out=new_flat)
-    next_state = OptimizerState(
-        m=m, v=v, step=t,
-        learning_rate=state.learning_rate, beta1=state.beta1,
-        beta2=state.beta2, eps=state.eps,
-    )
-    return Parameters.wrap(new_flat, params.layout), next_state
+def adam_step(params: Parameters, grads: Parameters, state: OptimizerState) -> None:
+    """One bias-corrected adaptive-moment update, written in place into
+    ``params.flat``, ``state.m``, ``state.v`` and ``state.step``; a caller that
+    keeps a checkpoint copies ``params.flat``."""
+    state.step += 1
+    t = state.step
+    # elementwise, so block by block gives the same bits while a block's arrays
+    # stay in cache; the golden trajectory digests pin this operation order
+    for start in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        flat, m, v, g = params.flat[block], state.m[block], state.v[block], grads.flat[block]
+        scratch = (1 - BETA1) * g
+        m *= BETA1
+        m += scratch
+        np.multiply(g, 1 - BETA2, out=scratch)
+        scratch *= g
+        v *= BETA2
+        v += scratch
+        np.divide(v, 1 - BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPS
+        delta = m / (1 - BETA1 ** t)
+        delta *= state.learning_rate
+        delta /= scratch
+        flat -= delta
 
 
 def total_loss(

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ColumnKind, Table, factorize, largest_remainder_counts
-from .dataset import atomic_write, load_json_artifact, read_floats, read_manifest, save_blob
+from .dataset import ColumnKind, Table, as_text, factorize, largest_remainder_counts
+from .dataset import atomic_write, json_fits, load_json_artifact, read_floats, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import make_rng
 
@@ -92,11 +92,6 @@ class SplitIndices:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 
-# str() of every cell, kept as Python strings (a numpy str array would drop
-# trailing NULs and merge categories that differ only by them)
-_as_text = np.frompyfunc(str, 1, 1)
-
-
 def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
     """Learn category lists from the given rows (default: all rows)."""
     idx = np.arange(table.n_rows) if rows is None else np.asarray(rows)
@@ -106,7 +101,7 @@ def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
             raise UnknownColumn(name)
         if table.schema.kind_of(name) not in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN):
             raise UnknownColumn(name)
-        _, labels = factorize(_as_text(table.columns[name][idx]))
+        _, labels = factorize(as_text(table.columns[name][idx]))
         if not len(labels):
             raise DataError(f"no rows to fit one-hot codec for column {name!r}")
         categories[name] = tuple(labels.tolist())
@@ -166,7 +161,7 @@ def _encode(
         else:
             # the fitted categories come first, so a cell's code is its fitted
             # index, or k or more for a category unseen at fit time
-            cells = np.concatenate([np.array(codec.categories[name], dtype=object), _as_text(table.columns[name])])
+            cells = np.concatenate([np.array(codec.categories[name], dtype=object), as_text(table.columns[name])])
             codes = factorize(cells)[0][k:]
             hit = np.flatnonzero(codes < k)
             out[hit, start + codes[hit]] = 1.0
@@ -262,6 +257,9 @@ def save_feature_matrix(path: str | Path, fm: FeatureMatrix) -> None:
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     with open(path, "rb") as fh:
         manifest = read_manifest(fh, path, FMX_FORMAT, "feature-matrix")
+        if not (json_fits(manifest, {"n": int, "d": int, "labels": [str]})
+                and manifest["n"] >= 0 and len(manifest["labels"]) == manifest["d"]):
+            raise DataError(f"{path}: feature-matrix manifest needs int n >= 0 and d string labels")
         n, d = manifest["n"], manifest["d"]
         values = read_floats(fh, path, n * d).reshape(n, d)
     return FeatureMatrix(values, tuple(manifest["labels"]))

@@ -84,6 +84,29 @@ class TestPreprocessTrainChain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
 
+    # n * d still matches the data section where the edit allows it, so the
+    # manifest check, not the length check, has to catch the edit
+    @pytest.mark.parametrize("edit", [
+        lambda m: {"labels": 5},
+        lambda m: {"n": -m["n"], "d": -m["d"]},
+        lambda m: {"d": float(m["d"])},
+        lambda m: {"n": "2"},
+    ], ids=["labels-int", "negative-shape", "float-d", "string-n"])
+    def test_malformed_fmx_manifest_exit_2(self, csv_workspace, capsys, edit):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        fmx = csv_workspace / "out" / "features.fmx"
+        head, blob = fmx.read_bytes().split(b"\n", 1)
+        manifest = json.loads(head)
+        manifest.update(edit(manifest))
+        fmx.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + blob)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "train") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "features.fmx" in err["error"]["message"]
+        assert "2222" not in err["error"]["message"]
+
     @pytest.mark.parametrize("corrupt", [lambda b: b[: len(b) // 2], lambda b: b"[]", lambda b: b"{}"],
                              ids=["halved", "not-an-object", "no-fields"])
     @pytest.mark.parametrize("name, command", [

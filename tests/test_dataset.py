@@ -370,6 +370,17 @@ class TestSummarize:
         assert len(cat["top_categories"]) <= 10
         assert abs(sum(stats["class_distribution"]) - 1.0) < 1e-12
 
+    def test_nul_suffixed_categories_stay_apart(self):
+        # one-hot and association keep "a" and "a\x00" apart; so must stats.json
+        schema = SchemaSpec((("City", ColumnKind.CATEGORICAL), ("Severity", ColumnKind.TARGET)), 2)
+        table = Table(
+            schema,
+            {"City": np.array(["a", "a\x00", "a"], dtype=object), "Severity": np.ones(3, dtype=np.int64)},
+            {"City": np.zeros(3, dtype=bool), "Severity": np.zeros(3, dtype=bool)},
+            3,
+        )
+        assert summarize(table)["columns"]["City"]["top_categories"] == [["a", 2], ["a\x00", 1]]
+
 
 class TestFactorize:
     def test_first_appearance_order_and_round_trip(self):

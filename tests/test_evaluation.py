@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,33 @@ class TestGridSearch:
                               seed=5, n_classes=2)
         keys = [(r.val_ber, -r.val_accuracy, r.index) for r in results]
         assert keys == sorted(keys)
+
+    def test_base_config_fields_reach_every_cell(self, monkeypatch):
+        seen = []
+
+        def fake_train(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return None, {"best_epoch": 0, "val_ber": [0.5], "val_accuracy": [0.5]}
+
+        monkeypatch.setattr("sevpred.models.train_classifier", fake_train)
+        # every field off its default, so a field left at its default shows
+        base = ClassifierConfig(initial_neurons=40, initial_dropout=0.25, batch_size=99,
+                                l2_penalty=0.5, epochs=7, use_class_weights=False,
+                                seed=123, learning_rate=0.02)
+        assert all(getattr(base, f.name) != f.default for f in dataclasses.fields(base))
+        grid = GridSpec((8, 12), (0.1,), (64,), (0.001,))
+        tx, ty, vx, vy = self.data()
+        results = grid_search(grid, tx, ty, vx, vy, base_config=base, seed=3, n_classes=2)
+        assert len(seen) == grid.size()
+        by_index = sorted(results, key=lambda r: r.index)
+        for cfg, cell, result in zip(seen, grid.cells(), by_index):
+            for f in dataclasses.fields(cfg):
+                if f.name in cell:
+                    assert getattr(cfg, f.name) == cell[f.name]
+                elif f.name == "seed":
+                    assert cfg.seed == result.seed
+                else:
+                    assert getattr(cfg, f.name) == getattr(base, f.name), f.name
 
     def test_jobs_parallel_same_report(self):
         tx, ty, vx, vy = self.data()

@@ -18,6 +18,7 @@ from sevpred import (
     weights_from_proportions,
 )
 from sevpred.errors import DataError, LabelOutOfRange, MissingClass, WidthMismatch
+from sevpred.evaluation import ber, confusion
 from sevpred.neural import init_params
 
 
@@ -205,9 +206,23 @@ class TestTrainClassifier:
         assert history["val_ber"][best] == min(history["val_ber"])
         spec = build_classifier(cfg, 4, 2)
         preds = predict(params, spec, x[400:])
-        from sevpred.evaluation import confusion, ber
-
         assert ber(confusion(preds, y[400:], 2)) == history["val_ber"][best]
+
+    def test_checkpoint_survives_later_epochs(self):
+        # the best of 8 epochs is not the last, so the returned parameters
+        # must be a copy taken then, not the buffer training went on updating
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(240, 12))
+        y = 1 + (x[:, 0] > 0) + (x[:, 1] > 0.5)
+        cfg = ClassifierConfig(initial_neurons=16, initial_dropout=0.3, batch_size=64,
+                               l2_penalty=1e-3, epochs=8, seed=5)
+        params, history = train_classifier(
+            cfg, x[:160], y[:160], x[160:], y[160:], compute_class_weights(y[:160], 3), n_classes=3
+        )
+        best = history["best_epoch"]
+        assert best == 5 and history["val_ber"][-1] != history["val_ber"][best]
+        preds = predict(params, build_classifier(cfg, 12, 3), x[160:])
+        assert ber(confusion(preds, y[160:], 3)) == history["val_ber"][best]
 
     def test_all_ones_weights_match_disabled_weights(self):
         x, y = separable_data(seed=5)

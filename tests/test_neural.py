@@ -33,7 +33,7 @@ from sevpred.errors import (
     NonFiniteActivation,
     ShapeMismatch,
 )
-from sevpred.neural import l2_term, softmax, total_loss
+from sevpred.neural import ADAM_BLOCK, OptimizerState, l2_term, softmax, total_loss
 from tests.conftest import traced_peak
 
 
@@ -339,44 +339,80 @@ class TestMemoryBudget:
         spec, params, x, _ = net
         assert traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes
 
+    def test_adam_step(self, net):
+        # m, v and flat update in place; only a block's scratch buffer and
+        # update are allocated, not full-size results (4x at most)
+        _, params, _, _ = net
+        grads = Parameters.wrap(np.ones_like(params.flat), params.layout)
+        state = init_optimizer(params)
+        assert traced_peak(lambda: adam_step(params, grads, state)) <= 2.5 * params.flat.nbytes
+
 
 class TestAdam:
+    """adam_step writes params.flat, state.m, state.v and state.step in place
+    and returns nothing."""
+
     def make(self):
         spec = NetworkSpec((Dense(3, 2, "linear"),))
         params = init_params(spec, seed=7)
         state = init_optimizer(params, learning_rate=0.001)
-        return spec, params, state
+        return params, state
 
     def test_zero_gradient_fixed_point(self):
-        _, params, state = self.make()
-        zero = type(params)([np.zeros_like(w) for w in params.weights],
-                            [np.zeros_like(b) for b in params.biases])
-        new_params, new_state = adam_step(params, zero, state)
-        for old, new in zip(params.weights, new_params.weights):
-            np.testing.assert_array_equal(old, new)
-        assert new_state.step == 1
+        params, state = self.make()
+        before = params.flat.copy()
+        zero = Parameters.wrap(np.zeros_like(params.flat), params.layout)
+        assert adam_step(params, zero, state) is None
+        np.testing.assert_array_equal(params.flat, before)
+        assert state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
-        _, params, state = self.make()
+        params, state = self.make()
+        before = params.weights[0].copy()
         rng = np.random.default_rng(8)
         grads = type(params)(
             [rng.normal(size=w.shape) for w in params.weights],
             [rng.normal(size=b.shape) for b in params.biases],
         )
-        new_params, _ = adam_step(params, grads, state)
+        adam_step(params, grads, state)
         # bias-corrected first step: delta = lr * g / (|g| + eps) ~ lr * sign(g)
-        delta = new_params.weights[0] - params.weights[0]
+        delta = params.weights[0] - before
         np.testing.assert_allclose(delta, -0.001 * np.sign(grads.weights[0]), rtol=1e-4)
 
     def test_deterministic(self):
-        _, params, state = self.make()
-        grads = type(params)([np.ones_like(w) for w in params.weights],
-                             [np.ones_like(b) for b in params.biases])
-        a_params, a_state = adam_step(params, grads, state)
-        b_params, b_state = adam_step(params, grads, state)
-        for wa, wb in zip(a_params.weights, b_params.weights):
-            np.testing.assert_array_equal(wa, wb)
-        assert a_state.step == b_state.step
+        runs = []
+        for _ in range(2):
+            params, state = self.make()
+            grads = Parameters.wrap(np.ones_like(params.flat), params.layout)
+            adam_step(params, grads, state)
+            adam_step(params, grads, state)
+            np.testing.assert_array_equal(grads.flat, 1.0)  # the gradient is read, never written
+            runs.append((params.flat, state))
+        (flat_a, state_a), (flat_b, state_b) = runs
+        np.testing.assert_array_equal(flat_a, flat_b)
+        np.testing.assert_array_equal(state_a.m, state_b.m)
+        np.testing.assert_array_equal(state_a.v, state_b.v)
+        assert state_a.step == state_b.step == 2
+
+
+    def test_blocks_match_whole_vector_update(self):
+        # two full blocks and a partial one, against the update written out
+        # over the whole vector in the same operation order
+        rng = np.random.default_rng(9)
+        n = 2 * ADAM_BLOCK + 123
+        params = Parameters([rng.normal(size=(n - 1, 1))], [rng.normal(size=1)])
+        grads = Parameters.wrap(rng.normal(size=n), params.layout)
+        m0, v0, flat0 = rng.normal(size=n), rng.random(n), params.flat.copy()
+        state = OptimizerState(m=m0.copy(), v=v0.copy(), step=3, learning_rate=0.01)
+        adam_step(params, grads, state)
+        g = grads.flat
+        m = 0.9 * m0 + (1 - 0.9) * g
+        v = 0.999 * v0 + ((1 - 0.999) * g) * g
+        flat = flat0 - 0.01 * (m / (1 - 0.9 ** 4)) / (np.sqrt(v / (1 - 0.999 ** 4)) + 1e-8)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(params.flat, flat)
+        assert state.step == 4
 
 
 class TestModelFile:
