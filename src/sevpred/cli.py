@@ -18,7 +18,7 @@ import csv as csv_module
 import datetime
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ DEFAULTS: dict = {
     "data": {"csv": None, "schema": None},
     "work_dir": "sevpred_out",
     "seed": 7,
-    "jobs": 1,
     "association": {"n_bins": 10, "threshold": 0.2, "bias_corrected": False},
     "split": {"ratios": [0.6, 0.2, 0.2]},
     "autoencoder": {
@@ -152,6 +151,29 @@ class PipelineConfig:
             raise ConfigError(f"split.ratios must be three positive values summing to 1, got {ratios}")
         if self["cv"]["folds"] < 2:
             raise ConfigError("cv.folds must be at least 2")
+        if self["association"]["n_bins"] < 2:
+            raise ConfigError("association.n_bins must be at least 2")
+        # AutoencoderConfig needs the data's width, so its other checks run here
+        ae = self["autoencoder"]
+        widths = ae["encoder_widths"]
+        if not widths or min(widths) < 1:
+            raise ConfigError(f"autoencoder.encoder_widths must be positive widths, got {widths}")
+        if ae["epochs"] < 1 or ae["batch_size"] < 1:
+            raise ConfigError("autoencoder.epochs and autoencoder.batch_size must be positive")
+        # the objects the stages build from settings alone, built here so a
+        # bad value exits 1 before any input is read
+        try:
+            base = ClassifierConfig(**self["classifier"])
+        except DataError as exc:
+            raise ConfigError(f"classifier: {exc}") from None
+        try:
+            for cell in self.grid_spec().cells():
+                replace(base, **cell)
+        except DataError as exc:
+            raise ConfigError(f"grid: {exc}") from None
+
+    def grid_spec(self) -> GridSpec:
+        return GridSpec(**{key: tuple(values) for key, values in self["grid"].items()})
 
     def data_paths(self) -> tuple[Path, Path]:
         csv_path, schema_path = self["data"]["csv"], self["data"]["schema"]
@@ -194,6 +216,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         settings = _deep_merge(settings, file_cfg)
     for expr in args.set or []:
         keys, value = _parse_set(expr)
@@ -205,8 +229,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         node[keys[-1]] = value
     if args.seed is not None:
         settings["seed"] = args.seed
-    if args.jobs is not None:
-        settings["jobs"] = args.jobs
     if args.work_dir is not None:
         settings["work_dir"] = args.work_dir
     if args.no_class_weights:
@@ -440,7 +462,7 @@ def stage_grid(config: PipelineConfig) -> dict:
     features, labels, k = _load_features(config, encoded=False)
     splits = _load_splits(work, features.n)
     g = config["grid"]
-    grid = GridSpec(**{key: tuple(values) for key, values in g.items()})
+    grid = config.grid_spec()
     base = _classifier_config(config, derive_seed(config.seed(), "grid-base"))
     weights = _maybe_weights(config, labels[splits.train], k)
     results = grid_search(
@@ -448,8 +470,7 @@ def stage_grid(config: PipelineConfig) -> dict:
         features.values[splits.train], labels[splits.train],
         features.values[splits.val], labels[splits.val],
         base_config=base, class_weights=weights,
-        seed=derive_seed(config.seed(), "grid"),
-        jobs=int(config["jobs"]), n_classes=k,
+        seed=derive_seed(config.seed(), "grid"), n_classes=k,
     )
     payload = {
         "grid": {key: list(values) for key, values in g.items()},
@@ -609,7 +630,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override any config scalar, e.g. --set association.threshold=0.1")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--jobs", type=int, help="parallel workers for grid/cv")
     parser.add_argument("--work-dir", help="artifact directory override")
     parser.add_argument("--no-class-weights", action="store_true",
                         help="train without class weights (the ablation switch)")

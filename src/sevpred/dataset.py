@@ -94,9 +94,16 @@ def schema_to_dict(schema: SchemaSpec) -> dict:
 
 
 def load_schema(path: str | Path) -> SchemaSpec:
-    """Load a schema from the JSON file format used by the CLI."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+    """Load a schema from the JSON file format used by the CLI; DataError
+    naming the file if it does not parse, lacks a field or declares columns
+    no schema may have."""
+    obj = load_json_artifact(
+        path, "schema", {"columns": [{"name": str, "kind": str}], "target_cardinality": int}
+    )
+    try:
+        return schema_from_dict(obj)
+    except (ValueError, DataError) as exc:  # ValueError: a kind ColumnKind lacks
+        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -207,20 +214,24 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        target_name = schema.target
-        for name in schema.names:
-            if name in header:
-                positions[name] = header.index(name)
-            elif name == target_name and not require_target:
-                continue
-            else:
-                raise MissingColumn(name)
-        rows = list(reader)
+            header = next(reader, None)
+            rows = list(reader)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise EmptyFile(f"{path}: no header row")
+    header = [h.strip() for h in header]
+    positions: dict[str, int] = {}
+    target_name = schema.target
+    for name in schema.names:
+        if name in header:
+            positions[name] = header.index(name)
+        elif name == target_name and not require_target:
+            continue
+        else:
+            raise MissingColumn(name)
 
     # the target decides which rows are kept, so it is parsed first
     if target_name in positions:

@@ -258,8 +258,10 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     with open(path, "rb") as fh:
         manifest = read_manifest(fh, path, FMX_FORMAT, "feature-matrix")
         if not (json_fits(manifest, {"n": int, "d": int, "labels": [str]})
-                and manifest["n"] >= 0 and len(manifest["labels"]) == manifest["d"]):
-            raise DataError(f"{path}: feature-matrix manifest needs int n >= 0 and d string labels")
+                and manifest["n"] >= 0 and len(manifest["labels"]) == manifest["d"]
+                and manifest.get("dtype") == "float64" and manifest.get("byte_order") == "little"):
+            raise DataError(f"{path}: feature-matrix manifest needs int n >= 0, d string labels, "
+                            "dtype float64 and byte_order little")
         n, d = manifest["n"], manifest["d"]
         values = read_floats(fh, path, n * d).reshape(n, d)
     return FeatureMatrix(values, tuple(manifest["labels"]))

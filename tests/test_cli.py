@@ -34,6 +34,34 @@ class TestStats:
         num = stats["columns"]["num_0"]
         assert {"kind", "missing_rate", "min", "median", "max"} <= set(num)
 
+    @pytest.mark.parametrize("text", [
+        '{"columns": [',
+        '{"target_cardinality": 4}',
+        '{"columns": [{"name": "severity", "kind": "weird"}], "target_cardinality": 4}',
+        '{"columns": [{"name": "severity", "kind": "target"}], "target_cardinality": "x"}',
+    ], ids=["unparseable", "no-columns", "unknown-kind", "string-cardinality"])
+    def test_malformed_schema_exit_2(self, csv_workspace, capsys, text):
+        (csv_workspace / "schema.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "schema.json" in err["error"]["message"]
+
+    # one field a byte over the csv module's default limit; ingest must not
+    # raise that limit, which is process-wide
+    @pytest.mark.parametrize("extra", [b"1,k\xff\n", b"x" * 131073 + b"\n"],
+                             ids=["not-utf8", "oversized-field"])
+    def test_unreadable_csv_exit_2(self, csv_workspace, capsys, extra):
+        path = csv_workspace / "data.csv"
+        path.write_bytes(path.read_bytes() + extra)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "data.csv" in err["error"]["message"]
+        assert csv.field_size_limit() == 131072
+
 
 class TestAssociate:
     def test_matrix_csv_and_selection(self, csv_workspace):
@@ -91,7 +119,9 @@ class TestPreprocessTrainChain:
         lambda m: {"n": -m["n"], "d": -m["d"]},
         lambda m: {"d": float(m["d"])},
         lambda m: {"n": "2"},
-    ], ids=["labels-int", "negative-shape", "float-d", "string-n"])
+        lambda m: {"dtype": "float32"},
+        lambda m: {"byte_order": "big"},
+    ], ids=["labels-int", "negative-shape", "float-d", "string-n", "float32-dtype", "big-endian"])
     def test_malformed_fmx_manifest_exit_2(self, csv_workspace, capsys, edit):
         for cmd in ("associate", "preprocess"):
             assert run_cmd(csv_workspace, cmd) == 0
@@ -330,6 +360,36 @@ class TestConfigPlumbing:
             csv_workspace, "stats",
             "--set", "association.threshold=1", "--set", "predict.model=other.model",
         ) == 0
+
+    def test_jobs_setting_exits_1(self, csv_workspace):
+        assert run_cmd(csv_workspace, "stats", "--jobs", "2") == 1
+        assert run_cmd(csv_workspace, "stats", "--set", "jobs=1") == 1
+        path = csv_workspace / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "jobs": 1}), encoding="utf-8")
+        assert run_cmd(csv_workspace, "stats") == 1
+
+    # the CSV is not UTF-8, so a check made after reading input would exit 2;
+    # a repeated --config replaces the first
+    @pytest.mark.parametrize("args", [
+        ["--set", "grid.initial_neurons=[]"],
+        ["--set", "grid.initial_dropout=[0.2,1.5]"],
+        ["--set", "classifier.initial_neurons=2"],
+        ["--set", "classifier.epochs=0"],
+        ["--set", "classifier.initial_dropout=1.5"],
+        ["--set", "autoencoder.encoder_widths=[]"],
+        ["--set", "autoencoder.batch_size=0"],
+        ["--set", "association.n_bins=1"],
+        ["--config", "list.json"],
+    ], ids=lambda args: args[-1])
+    def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
+        (csv_workspace / "data.csv").write_bytes(b"\xff\n")
+        (csv_workspace / "list.json").write_text("[1, 2]", encoding="utf-8")
+        monkeypatch.chdir(csv_workspace)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats", *args) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ConfigError"
 
     def test_unknown_key_in_config_file_exits_1(self, csv_workspace, capsys):
         path = csv_workspace / "config.json"

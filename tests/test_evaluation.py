@@ -262,13 +262,12 @@ class TestGridSearch:
                 else:
                     assert getattr(cfg, f.name) == getattr(base, f.name), f.name
 
-    def test_jobs_parallel_same_report(self):
+    def test_parallel_jobs_rejected(self):
         tx, ty, vx, vy = self.data()
-        grid = GridSpec((8, 12), (0.1,), (64,), (0.001,))
-        seq = grid_search(grid, tx, ty, vx, vy, base_config=self.base(), seed=9, n_classes=2)
-        par = grid_search(grid, tx, ty, vx, vy, base_config=self.base(), seed=9,
-                          n_classes=2, jobs=2)
-        assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+        grid = GridSpec((8,), (0.1,), (64,), (0.001,))
+        with pytest.raises(DataError, match="serially"):
+            grid_search(grid, tx, ty, vx, vy, base_config=self.base(), seed=9,
+                        n_classes=2, jobs=2)
 
     def test_empty_grid_list_rejected(self):
         with pytest.raises(DataError):
