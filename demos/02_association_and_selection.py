@@ -7,6 +7,8 @@ quantile binning) and selects the columns most associated with the target.
 Run: python demos/02_association_and_selection.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sevpred import (
@@ -39,7 +41,13 @@ print("\nquartile bins of", values.tolist(), "->", bin_numeric(values, 4).tolist
 table = generate_synthetic(
     SyntheticSpec(3000, (0.1, 0.5, 0.3, 0.1), n_numeric=2, n_categorical=2, seed=7)
 )
-table.columns["cat_0"] = np.array([f"t{v}" for v in table.target], dtype=object)
+# a categorical column is int64 codes into its labels: target k gets label "tk"
+k = table.schema.target_cardinality
+table = replace(
+    table,
+    columns={**table.columns, "cat_0": table.target - 1},
+    labels={**table.labels, "cat_0": np.array([f"t{v}" for v in range(1, k + 1)], dtype=object)},
+)
 
 matrix = association_matrix(table, n_bins=8)
 print("\nassociation matrix labels:", matrix.labels)

@@ -2,10 +2,10 @@
 pairwise association matrices, and threshold-based feature selection.
 
 Numeric columns take part through equal-frequency (quantile) binning, so one
-measure covers every column-type pair. Category identity and order come from
-:func:`~sevpred.dataset.factorize` alone; every table is one ``bincount`` over
-the codes of its two columns. Plain (uncorrected) V is the default; the
-small-sample bias correction sits behind a flag.
+measure covers every column-type pair. Table columns are used as the codes
+that occur in them; :func:`build_contingency` codes loose arrays. Every table
+is one ``bincount`` over the codes of its two columns. Plain (uncorrected) V
+is the default; the small-sample bias correction sits behind a flag.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def build_contingency(a, b) -> ContingencyTable:
 
 
 def _cross_tab(a: tuple, b: tuple) -> ContingencyTable:
-    """Contingency table of two equal-length factorized columns."""
+    """Contingency table of two equal-length (codes, labels) columns."""
     (ai, row_labels), (bi, col_labels) = a, b
     r, c = len(row_labels), len(col_labels)
     counts = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
@@ -138,20 +138,20 @@ def cramers_v(table: ContingencyTable, bias_corrected: bool = False) -> float:
     return float(np.clip(v, 0.0, 1.0))
 
 
-def _categorize(table: Table, name: str, n_bins: int) -> np.ndarray:
-    """Column as a category array: numeric columns are quantile-binned,
-    everything else is used verbatim."""
-    kind = table.schema.kind_of(name)
+def _categorize(table: Table, name: str, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column as (codes, levels) over the values that occur, numeric columns
+    quantile-binned first; V is bit-identical under any level order."""
     values = table.columns[name]
-    if kind == ColumnKind.NUMERIC:
-        return bin_numeric(values, n_bins)
-    return values
+    if table.schema.kind_of(name) == ColumnKind.NUMERIC:
+        values = bin_numeric(values, n_bins)
+    levels, codes = np.unique(values, return_inverse=True)
+    return codes, levels
 
 
 def column_pair_v(
     table: Table, a: str, b: str, n_bins: int = DEFAULT_BINS, bias_corrected: bool = False
 ) -> float:
-    ct = build_contingency(_categorize(table, a, n_bins), _categorize(table, b, n_bins))
+    ct = _cross_tab(_categorize(table, a, n_bins), _categorize(table, b, n_bins))
     return cramers_v(ct, bias_corrected=bias_corrected)
 
 
@@ -166,7 +166,7 @@ def association_matrix(
     if table.has_missing():
         raise DataError("association_matrix requires an imputed table")
     names = table.schema.names
-    coded = [factorize(_categorize(table, name, n_bins)) for name in names]
+    coded = [_categorize(table, name, n_bins) for name in names]
     m = len(names)
     values = np.eye(m)
     for i in range(m):
@@ -188,12 +188,12 @@ def select_features(
     if table.has_missing():
         raise DataError("select_features requires an imputed table")
     target_name = table.schema.target
-    target = factorize(table.columns[target_name])
+    target = _categorize(table, target_name, n_bins)
     scored = []
     for name in table.schema.names:
         if name == target_name:
             continue
-        ct = _cross_tab(factorize(_categorize(table, name, n_bins)), target)
+        ct = _cross_tab(_categorize(table, name, n_bins), target)
         scored.append((name, cramers_v(ct, bias_corrected=bias_corrected)))
     ranked = sorted(scored, key=lambda item: -item[1])
     selected = tuple(name for name, v in ranked if v >= threshold)

@@ -160,6 +160,8 @@ class PipelineConfig:
             raise ConfigError(f"autoencoder.encoder_widths must be positive widths, got {widths}")
         if ae["epochs"] < 1 or ae["batch_size"] < 1:
             raise ConfigError("autoencoder.epochs and autoencoder.batch_size must be positive")
+        if not ae["learning_rate"] > 0:
+            raise ConfigError(f"autoencoder.learning_rate must be positive, got {ae['learning_rate']}")
         # the objects the stages build from settings alone, built here so a
         # bad value exits 1 before any input is read
         try:

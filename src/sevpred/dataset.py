@@ -3,10 +3,10 @@ a synthetic imbalanced-data generator for desk-scale experiments, and the
 artifact-file helpers every pipeline stage writes and reads through.
 
 A :class:`Table` is column-oriented: numeric columns are float64 arrays,
-categorical/boolean columns are string object arrays, the target column is an
-int64 array of labels in ``1..K``. A per-cell boolean mask records missing
-values until :func:`impute` clears them. Tables are treated as immutable
-after construction.
+categorical/boolean columns int64 codes into per-column ``str`` labels, the
+target column an int64 array of labels in ``1..K``. A per-cell boolean mask
+records missing values until :func:`impute` clears them. Tables are treated
+as immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -110,8 +110,10 @@ def load_schema(path: str | Path) -> SchemaSpec:
 class Table:
     """Column store with schema, per-cell missing mask, and row count.
 
-    ``n_dropped`` counts rows removed at ingestion because their target was
-    missing or blank.
+    Categorical/boolean columns hold int64 codes into ``labels[name]``, where
+    a label may occur in no row; raw cells given without labels are coded by
+    :func:`factorize` of their ``str``. ``n_dropped`` counts rows dropped at
+    ingestion for a missing target.
     """
 
     schema: SchemaSpec
@@ -119,15 +121,22 @@ class Table:
     missing: dict[str, np.ndarray]
     n_rows: int
     n_dropped: int = 0
+    labels: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in self.schema.names:
+        self.columns, self.labels = dict(self.columns), dict(self.labels)
+        for name, kind in self.schema.columns:
             if name not in self.columns:
                 raise MissingColumn(name)
             if len(self.columns[name]) != self.n_rows:
                 raise DataError(f"column {name!r} length != n_rows")
             if len(self.missing[name]) != self.n_rows:
                 raise DataError(f"missing mask for {name!r} length != n_rows")
+            if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN):
+                if name not in self.labels:
+                    self.columns[name], self.labels[name] = factorize(as_text(self.columns[name]))
+                if ((self.columns[name] < 0) | (self.columns[name] >= len(self.labels[name]))).any():
+                    raise DataError(f"column {name!r} has codes outside its labels")
         tgt = self.schema.target
         if self.missing[tgt].any():
             raise DataError("target column must have no missing cells")
@@ -150,7 +159,7 @@ class Table:
         idx = np.asarray(indices, dtype=np.int64)
         cols = {n: v[idx] for n, v in self.columns.items()}
         miss = {n: v[idx] for n, v in self.missing.items()}
-        return Table(self.schema, cols, miss, int(len(idx)), self.n_dropped)
+        return Table(self.schema, cols, miss, int(len(idx)), self.n_dropped, self.labels)
 
 
 # str() of every cell, kept as Python strings (a numpy str array would drop
@@ -251,8 +260,7 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     width = max(positions.values(), default=-1) + 1
     kept = [row if len(row) >= width else row + [""] * (width - len(row)) for row in kept]
 
-    columns: dict[str, np.ndarray] = {}
-    missing: dict[str, np.ndarray] = {}
+    columns, missing, labels = {}, {}, {}
     for name, kind in schema.columns:
         if kind == ColumnKind.TARGET:
             columns[name], missing[name] = target, np.zeros(len(kept), dtype=bool)
@@ -261,9 +269,9 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
         if kind == ColumnKind.NUMERIC:
             columns[name], missing[name] = _numeric_column([row[pos] for row in kept])
         else:
-            columns[name] = np.array([row[pos].strip() for row in kept], dtype=object)
-            missing[name] = columns[name] == ""
-    return Table(schema, columns, missing, len(kept), n_dropped)
+            columns[name], labels[name] = factorize(np.array([row[pos].strip() for row in kept], dtype=object))
+            missing[name] = (labels[name] == "")[columns[name]]
+    return Table(schema, columns, missing, len(kept), n_dropped, labels)
 
 
 def write_csv(table: Table, path: str | Path) -> None:
@@ -281,7 +289,7 @@ def write_csv(table: Table, path: str | Path) -> None:
                 elif kind == ColumnKind.TARGET:
                     row.append(str(int(table.columns[name][i])))
                 else:
-                    row.append(str(table.columns[name][i]))
+                    row.append(table.labels[name][table.columns[name][i]])
             writer.writerow(row)
 
 
@@ -294,6 +302,7 @@ def impute(table: Table) -> Table:
     """
     columns: dict[str, np.ndarray] = {}
     missing: dict[str, np.ndarray] = {}
+    labels = {name: factorize(np.append(v, "Unknown"))[1] for name, v in table.labels.items()}
     for name, kind in table.schema.columns:
         values = table.columns[name]
         mask = table.missing[name]
@@ -309,10 +318,10 @@ def impute(table: Table) -> Table:
             filled[mask] = np.median(observed)
         else:
             filled = values.copy()
-            filled[mask] = "Unknown"
+            filled[mask] = labels[name].tolist().index("Unknown")
         columns[name] = filled
         missing[name] = np.zeros(table.n_rows, dtype=bool)
-    return Table(table.schema, columns, missing, table.n_rows, table.n_dropped)
+    return Table(table.schema, columns, missing, table.n_rows, table.n_dropped, labels)
 
 
 def class_distribution(table: Table) -> np.ndarray:
@@ -350,9 +359,10 @@ def summarize(table: Table) -> dict:
         elif kind == ColumnKind.TARGET:
             entry["distribution"] = class_distribution(table).tolist() if table.n_rows else []
         else:
-            codes, cats = factorize(as_text(values))
+            counts = np.bincount(values, minlength=len(table.labels[name]))
+            cats = table.labels[name][counts > 0]
             by_name = np.argsort(cats)  # Python string order breaks count ties
-            counts = np.bincount(codes, minlength=len(cats))[by_name]
+            counts = counts[counts > 0][by_name]
             top = np.argsort(counts)[::-1][:10]
             entry["top_categories"] = [[cats[by_name[i]], int(counts[i])] for i in top]
         cols[name] = entry

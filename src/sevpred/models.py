@@ -99,6 +99,8 @@ class AutoencoderConfig:
             raise DataError("latent dimension cannot exceed the input width")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataError("epochs and batch_size must be positive")
+        if not self.learning_rate > 0:
+            raise DataError("learning_rate must be positive")
 
     @property
     def latent_dim(self) -> int:
@@ -236,6 +238,8 @@ class ClassifierConfig:
             raise DataError("batch_size and epochs must be positive")
         if self.l2_penalty < 0:
             raise DataError("l2_penalty must be non-negative")
+        if not self.learning_rate > 0:
+            raise DataError("learning_rate must be positive")
 
 
 def build_classifier(cfg: ClassifierConfig, input_dim: int, n_classes: int) -> NetworkSpec:

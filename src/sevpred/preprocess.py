@@ -4,9 +4,9 @@ stratified splits.
 Encoders are fitted on the training rows only and applied unchanged to
 validation/test data, so no statistics leak across splits. Standardization
 uses the population (1/n) standard deviation; zero-variance columns transform
-to all-zeros. One-hot categories are the distinct ``str`` forms of the
-training cells, in the order :func:`~sevpred.dataset.factorize` gives them;
-blocks map categories unseen at fit time to all-zero vectors.
+to all-zeros. One-hot categories are the table labels that occur among the
+training rows, in order of first appearance there; blocks map categories
+unseen at fit time to all-zero vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ColumnKind, Table, as_text, factorize, largest_remainder_counts
+from .dataset import ColumnKind, Table, largest_remainder_counts
 from .dataset import atomic_write, json_fits, load_json_artifact, read_floats, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import make_rng
@@ -25,9 +25,15 @@ from .rng import make_rng
 
 @dataclass(frozen=True)
 class OneHotCodec:
-    """Per-column category lists learned at fit time, first-appearance order."""
+    """Per-column category lists learned at fit time, first-appearance order.
+    A category may appear once per column."""
 
     categories: dict[str, tuple[str, ...]]
+
+    def __post_init__(self):
+        for col, cats in self.categories.items():
+            if len(set(cats)) != len(cats):
+                raise DataError(f"categories of column {col!r} repeat a category")
 
     def width(self, column: str) -> int:
         return len(self.categories[column])
@@ -101,10 +107,10 @@ def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
             raise UnknownColumn(name)
         if table.schema.kind_of(name) not in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN):
             raise UnknownColumn(name)
-        _, labels = factorize(as_text(table.columns[name][idx]))
-        if not len(labels):
+        present, first = np.unique(table.columns[name][idx], return_index=True)
+        if not len(present):
             raise DataError(f"no rows to fit one-hot codec for column {name!r}")
-        categories[name] = tuple(labels.tolist())
+        categories[name] = tuple(table.labels[name][present[np.argsort(first)]].tolist())
     return OneHotCodec(categories)
 
 
@@ -149,7 +155,12 @@ def _encode(
 ) -> tuple[np.ndarray, int]:
     """The n x d encoding of ``names``, each fitted by ``standardizer`` or
     else by ``codec``, written column slice by column slice into one zeroed
-    array, and the count of cells whose category was unseen at fit time."""
+    array, and the count of cells whose category was unseen at fit time.
+    UnknownColumn for a column of another kind than its encoder takes."""
+    for name in names:
+        if not (table.schema.kind_of(name) == ColumnKind.NUMERIC if name in standardizer.moments
+                else name in table.labels):
+            raise UnknownColumn(name)
     widths = [1 if name in standardizer.moments else codec.width(name) for name in names]
     out = np.zeros((table.n_rows, sum(widths)))
     start = unseen = 0
@@ -159,10 +170,10 @@ def _encode(
             if std > 0:
                 out[:, start] = (np.asarray(table.columns[name], dtype=np.float64) - mean) / std
         else:
-            # the fitted categories come first, so a cell's code is its fitted
-            # index, or k or more for a category unseen at fit time
-            cells = np.concatenate([np.array(codec.categories[name], dtype=object), as_text(table.columns[name])])
-            codes = factorize(cells)[0][k:]
+            # each table label's fitted index, or k for one unseen at fit time
+            fitted = {c: i for i, c in enumerate(codec.categories[name])}
+            lookup = np.array([fitted.get(label, k) for label in table.labels[name].tolist()], dtype=np.int64)
+            codes = lookup[table.columns[name]]
             hit = np.flatnonzero(codes < k)
             out[hit, start + codes[hit]] = 1.0
             unseen += table.n_rows - len(hit)
@@ -311,8 +322,8 @@ def load_preprocessor(path: str | Path) -> tuple[OneHotCodec, Standardizer, list
         "standardizer": {str: {"mean": float, "std": float}},
         "column_order": [str],
     })
-    return (
-        OneHotCodec.from_dict(payload["one_hot"]),
-        Standardizer.from_dict(payload["standardizer"]),
-        payload["column_order"],
-    )
+    try:
+        codec = OneHotCodec.from_dict(payload["one_hot"])
+    except DataError as exc:
+        raise DataError(f"{path}: one_hot {exc}") from None
+    return codec, Standardizer.from_dict(payload["standardizer"]), payload["column_order"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from sevpred import (
     chi_square,
     cramers_v,
     generate_synthetic,
+    ingest_csv,
     select_features,
+    write_csv,
 )
 from sevpred.association import column_pair_v
 from sevpred.errors import DataError, LengthMismatch
@@ -213,9 +217,8 @@ class TestCramersV:
 class TestAssociationMatrix:
     def duplicated_column_table(self):
         table = generate_synthetic(SyntheticSpec(300, (0.3, 0.4, 0.3), 1, 2, seed=9))
-        dup = table.columns["cat_0"].copy()
-        table.columns["cat_1"] = dup
-        return table
+        return replace(table, columns={**table.columns, "cat_1": table.columns["cat_0"].copy()},
+                       labels={**table.labels, "cat_1": table.labels["cat_0"]})
 
     def test_duplicate_column_pair_is_one(self):
         table = self.duplicated_column_table()
@@ -223,6 +226,16 @@ class TestAssociationMatrix:
         i = matrix.labels.index("cat_0")
         j = matrix.labels.index("cat_1")
         assert matrix.values[i, j] == pytest.approx(1.0, abs=1e-12)
+
+    def test_row_subset_matches_reingested_rows(self, small_table, tmp_path):
+        # rows without cat_0's first category, so the subset no longer has it
+        cat = small_table.columns["cat_0"]
+        subset = small_table.select_rows(np.flatnonzero(cat != cat[0]))
+        write_csv(subset, tmp_path / "subset.csv")
+        back = ingest_csv(tmp_path / "subset.csv", small_table.schema)
+        np.testing.assert_array_equal(association_matrix(subset, n_bins=5).values,
+                                      association_matrix(back, n_bins=5).values)
+        assert select_features(subset, 0.1, n_bins=5) == select_features(back, 0.1, n_bins=5)
 
     def test_symmetric_and_unit_diagonal(self, small_table):
         matrix = association_matrix(small_table, n_bins=5)
@@ -252,8 +265,9 @@ class TestSelectFeatures:
     def target_determined_table(self):
         table = generate_synthetic(SyntheticSpec(2000, (0.25, 0.3, 0.25, 0.2), 0, 1, seed=31))
         # one column fully determined by the target, one independent
-        table.columns["cat_0"] = np.array([f"t{v}" for v in table.target], dtype=object)
-        return table
+        labels = {n: v for n, v in table.labels.items() if n != "cat_0"}
+        cells = np.array([f"t{v}" for v in table.target], dtype=object)
+        return replace(table, columns={**table.columns, "cat_0": cells}, labels=labels)
 
     def test_threshold_zero_selects_all(self, small_table):
         report = select_features(small_table, threshold=0.0, n_bins=4)

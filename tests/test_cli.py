@@ -165,6 +165,8 @@ class TestPreprocessTrainChain:
         ("preprocessor.json", "standardizer", {"x": {"mean": "0", "std": 1.0}}, "predict"),
         ("preprocessor.json", "column_order", [1], "predict"),
         ("selection.json", "selected", "x", "preprocess"),
+        ("preprocessor.json", "one_hot",
+         {"cat_0": ["k4", "k3", "k0", "k1", "k2"], "cat_1": ["k0", "k0", "k3", "k4", "k1"]}, "predict"),
     ])
     def test_wrong_typed_json_field_exit_2(self, csv_workspace, capsys, name, field, value, command):
         for cmd in ("associate", "preprocess"):
@@ -377,8 +379,11 @@ class TestConfigPlumbing:
         ["--set", "classifier.initial_neurons=2"],
         ["--set", "classifier.epochs=0"],
         ["--set", "classifier.initial_dropout=1.5"],
+        ["--set", "classifier.learning_rate=0"],
+        ["--set", "classifier.learning_rate=-1"],
         ["--set", "autoencoder.encoder_widths=[]"],
         ["--set", "autoencoder.batch_size=0"],
+        ["--set", "autoencoder.learning_rate=-5"],
         ["--set", "association.n_bins=1"],
         ["--config", "list.json"],
     ], ids=lambda args: args[-1])

@@ -14,10 +14,12 @@ from sevpred import (
     SyntheticSpec,
     Table,
     class_distribution,
+    fit_one_hot,
     generate_synthetic,
     impute,
     ingest_csv,
     summarize,
+    transform_one_hot,
     write_csv,
 )
 from sevpred.dataset import (
@@ -82,7 +84,7 @@ class TestIngest:
         table = ingest_csv(path, SCHEMA)
         assert table.n_rows == 3
         assert table.target.tolist() == [2, 2, 3]
-        assert table.columns["City"].tolist() == ["Austin", "Dallas", "Austin"]
+        assert table.labels["City"][table.columns["City"]].tolist() == ["Austin", "Dallas", "Austin"]
 
     def test_blank_target_row_dropped(self, tmp_path):
         path = write(
@@ -234,11 +236,12 @@ class TestIngestProperty:
         assert (table.n_rows, table.n_dropped) == (n_rows, n_dropped)
         for name, kind in SCHEMA.columns:
             dtype = {ColumnKind.NUMERIC: np.float64, ColumnKind.TARGET: np.int64}.get(kind, object)
-            assert table.columns[name].dtype == dtype
+            cells = table.labels[name][table.columns[name]] if name in table.labels else table.columns[name]
+            assert cells.dtype == dtype
             if kind == ColumnKind.NUMERIC:
-                np.testing.assert_array_equal(table.columns[name], np.array(columns[name]))
+                np.testing.assert_array_equal(cells, np.array(columns[name]))
             else:
-                assert table.columns[name].tolist() == columns[name]
+                assert cells.tolist() == columns[name]
             assert table.missing[name].dtype == bool
             assert table.missing[name].tolist() == missing[name]
 
@@ -269,13 +272,23 @@ class TestImpute:
 
     def test_categorical_unknown(self):
         table = self.make_table([1, 2], [False, False], ["A", ""], [False, True])
-        assert impute(table).columns["City"].tolist() == ["A", "Unknown"]
+        imputed = impute(table)
+        assert imputed.labels["City"][imputed.columns["City"]].tolist() == ["A", "Unknown"]
 
     def test_fully_observed_identity(self):
         table = self.make_table([1, 2], [False, False], ["A", "B"], [False, False])
         out = impute(table)
         assert not out.has_missing()
         np.testing.assert_array_equal(out.columns["Temperature"], table.columns["Temperature"])
+
+    def test_literal_unknown_and_blank_share_one_category(self):
+        table = self.make_table([1, 2, 3], [False] * 3, ["Unknown", "", "A"], [False, True, False])
+        imputed = impute(table)
+        codec = fit_one_hot(imputed, ["City"])
+        assert codec.categories["City"] == ("Unknown", "A")
+        block, unseen = transform_one_hot(codec, imputed)
+        assert block.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert unseen == 0
 
     def test_all_missing_numeric_errors(self):
         table = self.make_table([np.nan, np.nan], [True, True], ["A", "B"], [False, False])
@@ -290,6 +303,20 @@ class TestImpute:
         table = impute(ingest_csv(path, SCHEMA))
         assert not table.has_missing()
         assert all(len(table.columns[n]) == table.n_rows for n in table.schema.names)
+
+
+class TestTable:
+    def test_build_leaves_caller_columns_raw(self):
+        city = np.asarray(["A", "B", "A"], dtype=object)
+        columns = {
+            "Temperature": np.zeros(3),
+            "City": city,
+            "Signal": np.asarray(["t"] * 3, dtype=object),
+            "Severity": np.full(3, 2, dtype=np.int64),
+        }
+        Table(SCHEMA, columns, {n: np.zeros(3, dtype=bool) for n in SCHEMA.names}, 3)
+        assert columns["City"] is city
+        assert city.tolist() == ["A", "B", "A"]
 
 
 class TestClassDistribution:

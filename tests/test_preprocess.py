@@ -17,6 +17,8 @@ from sevpred import (
 from sevpred.dataset import ColumnKind, SchemaSpec, Table
 from sevpred.errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from sevpred.preprocess import (
+    OneHotCodec,
+    Standardizer,
     load_preprocessor,
     load_splits,
     save_preprocessor,
@@ -67,6 +69,12 @@ class TestOneHot:
         table = table_from(categorical={"c": ["A", "B", "C"]})
         codec = fit_one_hot(table, ["c"], rows=[0, 1])
         assert "C" not in codec.categories["c"]
+
+    def test_category_absent_from_selected_rows_gets_no_column(self):
+        table = table_from(categorical={"c": ["A", "B", "C", "B"]}).select_rows([1, 2, 3])
+        codec = fit_one_hot(table, ["c"])
+        assert codec.categories["c"] == ("B", "C")
+        assert assemble(table, codec, fit_standardizer(table, [])).column_labels == ("c=B", "c=C")
 
     def test_known_category_unit_vector(self):
         table = table_from(categorical={"c": ["A", "B"]})
@@ -195,6 +203,17 @@ class TestAssemble:
         standardizer = fit_standardizer(small_table, ["num_0"])
         with pytest.raises(DimensionMismatch):
             assemble(small_table, codec, standardizer, ["num_0", "cat_1"])
+
+    def test_column_of_another_kind_rejected(self, small_table):
+        codec = fit_one_hot(small_table, ["cat_0"])
+        standardizer = fit_standardizer(small_table, ["num_0"])
+        for bad_codec, bad_standardizer in [
+            (OneHotCodec({"num_1": ("1.0",)}), standardizer),
+            (OneHotCodec({"severity": ("1",)}), standardizer),
+            (codec, Standardizer({"cat_1": (0.0, 1.0)})),
+        ]:
+            with pytest.raises(UnknownColumn):
+                assemble(small_table, bad_codec, bad_standardizer)
 
     def test_no_leakage_refit_on_train_reproduces(self, small_table):
         split = stratified_split(small_table.target, seed=3)
