@@ -18,7 +18,7 @@ import csv as csv_module
 import datetime
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .association import association_matrix, select_features
 from .dataset import ColumnKind, Table, atomic_write, impute, ingest_csv, load_schema, summarize
-from .dataset import load_json_artifact
+from .dataset import json_fits, load_json_artifact
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -105,16 +105,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _fits(value, default) -> bool:
-    """Whether ``value`` has its default's type: an int may stand for a float,
-    a string for a null default, and list items follow the first default item."""
+def _shape(default):
+    """The ``json_fits`` shape a setting takes: its default's type, a list's
+    first item's shape, and a string or null for a null default."""
     if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if default is None:
-        return value is None or isinstance(value, str)
-    if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
+        return [_shape(default[0])]
+    return (str, type(None)) if default is None else type(default)
 
 
 def _check_types(settings: dict, defaults: dict, prefix: str = "") -> None:
@@ -128,72 +124,57 @@ def _check_types(settings: dict, defaults: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be an object, got {value!r}")
             _check_types(value, default, name + ".")
-        elif not _fits(value, default):
+        elif not json_fits(value, _shape(default)):
             raise ConfigError(f"{name} must match the type of its default {default!r}, got {value!r}")
 
 
-@dataclass
-class PipelineConfig:
-    """Merged configuration: defaults <- config file <- --set <- flags."""
+def validate(settings: dict) -> None:
+    """ConfigError unless ``settings`` (defaults <- config file <- --set and
+    flags) have their defaults' types and build the library's configs, so a
+    bad value exits 1 before any input is read."""
+    _check_types(settings, DEFAULTS)
+    threshold = settings["association"]["threshold"]
+    if not (0.0 <= threshold <= 1.0):
+        raise ConfigError(f"association.threshold must be in [0, 1], got {threshold}")
+    ratios = settings["split"]["ratios"]
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split.ratios must be three positive values summing to 1, got {ratios}")
+    if settings["cv"]["folds"] < 2:
+        raise ConfigError("cv.folds must be at least 2")
+    if settings["association"]["n_bins"] < 2:
+        raise ConfigError("association.n_bins must be at least 2")
+    base = _built("classifier", lambda: _classifier_config(settings, 0))
+    _built("grid", lambda: [replace(base, **cell) for cell in GridSpec(**settings["grid"]).cells()])
+    # the widest encoder width stands in for the data's width, which
+    # stage_train_ae checks against the latent width
+    ae = settings["autoencoder"]
+    _built("autoencoder", lambda: AutoencoderConfig(**ae, input_dim=max(ae["encoder_widths"], default=0)))
 
-    settings: dict
 
-    def __getitem__(self, key: str):
-        return self.settings[key]
+def _built(section: str, build):
+    """``build()``, with a DataError from a library config reported as a
+    ConfigError in ``section``."""
+    try:
+        return build()
+    except DataError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
-    def validate(self) -> None:
-        _check_types(self.settings, DEFAULTS)
-        threshold = self["association"]["threshold"]
-        if not (0.0 <= threshold <= 1.0):
-            raise ConfigError(f"association.threshold must be in [0, 1], got {threshold}")
-        ratios = self["split"]["ratios"]
-        if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split.ratios must be three positive values summing to 1, got {ratios}")
-        if self["cv"]["folds"] < 2:
-            raise ConfigError("cv.folds must be at least 2")
-        if self["association"]["n_bins"] < 2:
-            raise ConfigError("association.n_bins must be at least 2")
-        # AutoencoderConfig needs the data's width, so its other checks run here
-        ae = self["autoencoder"]
-        widths = ae["encoder_widths"]
-        if not widths or min(widths) < 1:
-            raise ConfigError(f"autoencoder.encoder_widths must be positive widths, got {widths}")
-        if ae["epochs"] < 1 or ae["batch_size"] < 1:
-            raise ConfigError("autoencoder.epochs and autoencoder.batch_size must be positive")
-        if not ae["learning_rate"] > 0:
-            raise ConfigError(f"autoencoder.learning_rate must be positive, got {ae['learning_rate']}")
-        # the objects the stages build from settings alone, built here so a
-        # bad value exits 1 before any input is read
-        try:
-            base = ClassifierConfig(**self["classifier"])
-        except DataError as exc:
-            raise ConfigError(f"classifier: {exc}") from None
-        try:
-            for cell in self.grid_spec().cells():
-                replace(base, **cell)
-        except DataError as exc:
-            raise ConfigError(f"grid: {exc}") from None
 
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(**{key: tuple(values) for key, values in self["grid"].items()})
+def _data_paths(settings: dict) -> tuple[Path, Path]:
+    csv_path, schema_path = settings["data"]["csv"], settings["data"]["schema"]
+    if not csv_path or not schema_path:
+        raise ConfigError("data.csv and data.schema must be set")
+    csv_path, schema_path = Path(csv_path), Path(schema_path)
+    for p in (csv_path, schema_path):
+        if not p.exists():
+            raise ConfigError(f"input path does not exist: {p}")
+    return csv_path, schema_path
 
-    def data_paths(self) -> tuple[Path, Path]:
-        csv_path, schema_path = self["data"]["csv"], self["data"]["schema"]
-        if not csv_path or not schema_path:
-            raise ConfigError("data.csv and data.schema must be set")
-        csv_path, schema_path = Path(csv_path), Path(schema_path)
-        for p in (csv_path, schema_path):
-            if not p.exists():
-                raise ConfigError(f"input path does not exist: {p}")
-        return csv_path, schema_path
 
-    def work_dir(self) -> Path:
-        path = Path(self["work_dir"])
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def seed(self) -> int:
-        return int(self["seed"])
+def _work_dir(settings: dict) -> Path:
+    path = Path(settings["work_dir"])
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _parse_set(expr: str) -> tuple[list[str], object]:
@@ -207,8 +188,12 @@ def _parse_set(expr: str) -> tuple[list[str], object]:
     return key.split("."), value
 
 
-def build_config(args: argparse.Namespace) -> PipelineConfig:
+def build_config(args: argparse.Namespace) -> dict:
+    """The validated settings: defaults <- config file <- --set <- flags. The
+    config file's sections and the flags, which are shorthands for --set,
+    take the same assignment as --set."""
     settings = copy.deepcopy(DEFAULTS)
+    assignments = []
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -216,28 +201,31 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        settings = _deep_merge(settings, file_cfg)
-    for expr in args.set or []:
-        keys, value = _parse_set(expr)
+        assignments = [([key], value) for key, value in file_cfg.items()]
+    assignments += [_parse_set(expr) for expr in args.set or []]
+    if args.seed is not None:
+        assignments.append((["seed"], args.seed))
+    if args.work_dir is not None:
+        assignments.append((["work_dir"], args.work_dir))
+    if args.no_class_weights:
+        assignments.append((["classifier", "use_class_weights"], False))
+    for keys, value in assignments:
+        *path, last = keys
         node = settings
-        for key in keys[:-1]:
+        for key in path:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"--set path {'.'.join(keys)} crosses a non-object key")
-        node[keys[-1]] = value
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.work_dir is not None:
-        settings["work_dir"] = args.work_dir
-    if args.no_class_weights:
-        settings = _deep_merge(settings, {"classifier": {"use_class_weights": False}})
-    config = PipelineConfig(settings)
-    config.validate()
-    return config
+                raise ConfigError(f"setting {'.'.join(keys)} crosses a non-object key")
+        # an object merges into an object section rather than replacing it
+        if isinstance(value, dict) and isinstance(node.get(last), dict):
+            value = _deep_merge(node[last], value)
+        node[last] = value
+    validate(settings)
+    return settings
 
 
 # -- artifact writing -----------------------------------------------------------
@@ -263,8 +251,8 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_table(config: PipelineConfig, *, imputed: bool = True) -> Table:
-    csv_path, schema_path = config.data_paths()
+def _load_table(settings: dict, *, imputed: bool = True) -> Table:
+    csv_path, schema_path = _data_paths(settings)
     table = ingest_csv(csv_path, load_schema(schema_path))
     return impute(table) if imputed else table
 
@@ -277,17 +265,17 @@ def _require(path: Path, hint: str) -> Path:
 
 # -- stages ---------------------------------------------------------------------
 
-def stage_stats(config: PipelineConfig) -> dict:
-    table = _load_table(config, imputed=False)
+def stage_stats(settings: dict) -> dict:
+    table = _load_table(settings, imputed=False)
     payload = summarize(table)
     payload["meta"] = _meta("stats")
-    _write_json(config.work_dir() / "stats.json", payload)
+    _write_json(_work_dir(settings) / "stats.json", payload)
     return payload
 
 
-def stage_associate(config: PipelineConfig) -> dict:
-    table = _load_table(config)
-    assoc_cfg = config["association"]
+def stage_associate(settings: dict) -> dict:
+    table = _load_table(settings)
+    assoc_cfg = settings["association"]
     matrix = association_matrix(
         table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
     )
@@ -295,7 +283,7 @@ def stage_associate(config: PipelineConfig) -> dict:
         [label, *[repr(float(v)) for v in matrix.values[i]]]
         for i, label in enumerate(matrix.labels)
     ]
-    work = config.work_dir()
+    work = _work_dir(settings)
     _write_csv_rows(work / "association_matrix.csv", ["", *matrix.labels], rows)
     report = select_features(
         table, assoc_cfg["threshold"], n_bins=assoc_cfg["n_bins"],
@@ -311,16 +299,16 @@ def stage_associate(config: PipelineConfig) -> dict:
     return payload
 
 
-def stage_preprocess(config: PipelineConfig) -> dict:
-    table = _load_table(config)
-    work = config.work_dir()
+def stage_preprocess(settings: dict) -> dict:
+    table = _load_table(settings)
+    work = _work_dir(settings)
     selection = _require(work / "selection.json", "sevpred associate")
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
         raise DataError("feature selection is empty; lower association.threshold")
 
     splits = stratified_split(
-        table.target, tuple(config["split"]["ratios"]), seed=derive_seed(config.seed(), "split")
+        table.target, tuple(settings["split"]["ratios"]), seed=derive_seed(settings["seed"], "split")
     )
     categorical = [
         n for n in selected
@@ -352,8 +340,8 @@ def stage_preprocess(config: PipelineConfig) -> dict:
     return payload
 
 
-def _load_features(config: PipelineConfig, *, encoded: bool) -> tuple[FeatureMatrix, np.ndarray, int]:
-    work = config.work_dir()
+def _load_features(settings: dict, *, encoded: bool) -> tuple[FeatureMatrix, np.ndarray, int]:
+    work = _work_dir(settings)
     name = "latent.fmx" if encoded else "features.fmx"
     hint = "sevpred encode" if encoded else "sevpred preprocess"
     features = load_feature_matrix(_require(work / name, hint))
@@ -378,19 +366,12 @@ def _load_splits(work: Path, n_rows: int) -> SplitIndices:
     return splits
 
 
-def stage_train_ae(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    features, _, _ = _load_features(config, encoded=False)
+def stage_train_ae(settings: dict) -> dict:
+    work = _work_dir(settings)
+    features, _, _ = _load_features(settings, encoded=False)
     splits = _load_splits(work, features.n)
-    ae_cfg = config["autoencoder"]
-    cfg = AutoencoderConfig(
-        input_dim=features.d,
-        encoder_widths=tuple(ae_cfg["encoder_widths"]),
-        epochs=ae_cfg["epochs"],
-        batch_size=ae_cfg["batch_size"],
-        learning_rate=ae_cfg["learning_rate"],
-        seed=derive_seed(config.seed(), "train-ae"),
-    )
+    ae_cfg = settings["autoencoder"]
+    cfg = AutoencoderConfig(**ae_cfg, input_dim=features.d, seed=derive_seed(settings["seed"], "train-ae"))
     params, history = train_autoencoder(
         cfg,
         FeatureMatrix(features.values[splits.train], features.column_labels),
@@ -404,34 +385,34 @@ def stage_train_ae(config: PipelineConfig) -> dict:
     return payload
 
 
-def stage_encode(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    features, _, _ = _load_features(config, encoded=False)
+def stage_encode(settings: dict) -> dict:
+    work = _work_dir(settings)
+    features, _, _ = _load_features(settings, encoded=False)
     spec, params, _ = load_model(_require(work / "autoencoder.model", "sevpred train-ae"))
     latent = encode(spec, params, features)
     save_feature_matrix(work / "latent.fmx", latent)
     return {"n": latent.n, "latent_dim": latent.d, "meta": _meta("encode")}
 
 
-def _classifier_config(config: PipelineConfig, seed: int) -> ClassifierConfig:
-    return ClassifierConfig(**config["classifier"], seed=seed)
+def _classifier_config(settings: dict, seed: int) -> ClassifierConfig:
+    return ClassifierConfig(**settings["classifier"], seed=seed)
 
 
-def _maybe_weights(config: PipelineConfig, labels: np.ndarray, k: int) -> ClassWeights | None:
-    if not config["classifier"]["use_class_weights"]:
+def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights | None:
+    if not settings["classifier"]["use_class_weights"]:
         return None
     return compute_class_weights(labels, k)
 
 
-def stage_train(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    encoded = bool(config["train"]["use_encoder"])
+def stage_train(settings: dict) -> dict:
+    work = _work_dir(settings)
+    encoded = settings["train"]["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    features, labels, k = _load_features(config, encoded=encoded)
+    features, labels, k = _load_features(settings, encoded=encoded)
     splits = _load_splits(work, features.n)
 
-    cfg = _classifier_config(config, derive_seed(config.seed(), f"train{suffix}"))
-    weights = _maybe_weights(config, labels[splits.train], k)
+    cfg = _classifier_config(settings, derive_seed(settings["seed"], f"train{suffix}"))
+    weights = _maybe_weights(settings, labels[splits.train], k)
     params, history = train_classifier(
         cfg,
         features.values[splits.train], labels[splits.train],
@@ -442,7 +423,7 @@ def stage_train(config: PipelineConfig) -> dict:
     meta = {
         "kind": "classifier",
         "encoded_input": encoded,
-        "config": dict(config["classifier"]),
+        "config": dict(settings["classifier"]),
         "seed": cfg.seed,
         "class_weights": None if weights is None else weights.w.tolist(),
     }
@@ -451,7 +432,7 @@ def stage_train(config: PipelineConfig) -> dict:
     preds = predict(params, spec, features.values[splits.test])
     report = evaluate_predictions(preds, labels[splits.test], k)
     _write_json(work / f"history{suffix}.json", {
-        "history": history, "config": dict(config["classifier"]),
+        "history": history, "config": dict(settings["classifier"]),
         "seed": cfg.seed, "meta": _meta("train"),
     })
     payload = {"test": report.to_dict(), "encoded_input": encoded, "meta": _meta("train")}
@@ -459,46 +440,43 @@ def stage_train(config: PipelineConfig) -> dict:
     return payload
 
 
-def stage_grid(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    features, labels, k = _load_features(config, encoded=False)
+def stage_grid(settings: dict) -> dict:
+    work = _work_dir(settings)
+    features, labels, k = _load_features(settings, encoded=False)
     splits = _load_splits(work, features.n)
-    g = config["grid"]
-    grid = config.grid_spec()
-    base = _classifier_config(config, derive_seed(config.seed(), "grid-base"))
-    weights = _maybe_weights(config, labels[splits.train], k)
+    grid = GridSpec(**settings["grid"])
+    base = _classifier_config(settings, derive_seed(settings["seed"], "grid-base"))
+    weights = _maybe_weights(settings, labels[splits.train], k)
     results = grid_search(
         grid,
         features.values[splits.train], labels[splits.train],
         features.values[splits.val], labels[splits.val],
         base_config=base, class_weights=weights,
-        seed=derive_seed(config.seed(), "grid"), n_classes=k,
+        seed=derive_seed(settings["seed"], "grid"), n_classes=k,
     )
     payload = {
-        "grid": {key: list(values) for key, values in g.items()},
+        "grid": settings["grid"],
         "n_cells": grid.size(),
         "ranked": [r.to_dict() for r in results],
         "meta": _meta("grid"),
     }
     _write_json(work / "grid_report.json", payload)
-    header = ["rank", "cell", "initial_neurons", "initial_dropout", "batch_size",
-              "l2_penalty", "seed", "val_ber", "val_accuracy", "best_epoch"]
+    header = ["rank", "cell", *(f.name for f in fields(grid)),
+              "seed", "val_ber", "val_accuracy", "best_epoch"]
     rows = [
-        [rank, r.index, r.config["initial_neurons"], r.config["initial_dropout"],
-         r.config["batch_size"], r.config["l2_penalty"], r.seed,
-         repr(r.val_ber), repr(r.val_accuracy), r.best_epoch]
+        [rank, r.index, *r.config.values(), r.seed, repr(r.val_ber), repr(r.val_accuracy), r.best_epoch]
         for rank, r in enumerate(results)
     ]
     _write_csv_rows(work / "grid_report.csv", header, rows)
     return payload
 
 
-def _cv_runner(config: PipelineConfig, k: int):
+def _cv_runner(settings: dict, k: int):
     def runner(train_x, train_y, val_x, val_y, seed):
-        cfg = _classifier_config(config, seed)
+        cfg = _classifier_config(settings, seed)
         params, _ = train_classifier(
             cfg, train_x, train_y, val_x, val_y,
-            class_weights=_maybe_weights(config, train_y, k), n_classes=k,
+            class_weights=_maybe_weights(settings, train_y, k), n_classes=k,
         )
         spec = build_classifier(cfg, train_x.shape[1], k)
         return lambda x: predict(params, spec, x)
@@ -506,21 +484,21 @@ def _cv_runner(config: PipelineConfig, k: int):
     return runner
 
 
-def stage_cv(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    encoded = bool(config["cv"]["use_encoder"])
+def stage_cv(settings: dict) -> dict:
+    work = _work_dir(settings)
+    encoded = settings["cv"]["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    features, labels, k = _load_features(config, encoded=encoded)
+    features, labels, k = _load_features(settings, encoded=encoded)
     result = cross_validate(
-        _cv_runner(config, k),
+        _cv_runner(settings, k),
         features.values, labels,
-        k=int(config["cv"]["folds"]),
-        seed=derive_seed(config.seed(), f"cv{suffix}"),
+        k=settings["cv"]["folds"],
+        seed=derive_seed(settings["seed"], f"cv{suffix}"),
         n_classes=k,
     )
     payload = {
         "encoded_input": encoded,
-        "config": dict(config["classifier"]),
+        "config": dict(settings["classifier"]),
         **result.to_dict(),
         "meta": _meta("cv"),
     }
@@ -534,13 +512,13 @@ def stage_cv(config: PipelineConfig) -> dict:
     return payload
 
 
-def stage_predict(config: PipelineConfig) -> dict:
-    work = config.work_dir()
-    p = config["predict"]
-    input_path = p["input"] or config["data"]["csv"]
+def stage_predict(settings: dict) -> dict:
+    work = _work_dir(settings)
+    p = settings["predict"]
+    input_path = p["input"] or settings["data"]["csv"]
     if not input_path or not Path(input_path).exists():
         raise ConfigError(f"predict.input path does not exist: {input_path}")
-    schema_path = config["data"]["schema"]
+    schema_path = settings["data"]["schema"]
     if not schema_path or not Path(schema_path).exists():
         raise ConfigError("data.schema must be set for predict")
     schema = load_schema(schema_path)
@@ -570,21 +548,17 @@ def stage_predict(config: PipelineConfig) -> dict:
     }
 
 
-def stage_pipeline(config: PipelineConfig) -> dict:
+def stage_pipeline(settings: dict) -> dict:
     """Full chain: associate -> preprocess -> train-ae -> encode ->
     train x2 variants -> cv x2 variants, ending in a two-row comparison."""
-    stage_associate(config)
-    stage_preprocess(config)
-    stage_train_ae(config)
-    stage_encode(config)
+    stage_associate(settings)
+    stage_preprocess(settings)
+    stage_train_ae(settings)
+    stage_encode(settings)
 
-    raw_cfg = PipelineConfig(_deep_merge(config.settings, {"train": {"use_encoder": False}}))
-    enc_cfg = PipelineConfig(_deep_merge(config.settings, {"train": {"use_encoder": True}}))
-    stage_train(raw_cfg)
-    stage_train(enc_cfg)
-
-    cv_raw = stage_cv(PipelineConfig(_deep_merge(config.settings, {"cv": {"use_encoder": False}})))
-    cv_enc = stage_cv(PipelineConfig(_deep_merge(config.settings, {"cv": {"use_encoder": True}})))
+    for encoded in (False, True):
+        stage_train(_deep_merge(settings, {"train": {"use_encoder": encoded}}))
+    cv_raw, cv_enc = [stage_cv(_deep_merge(settings, {"cv": {"use_encoder": e}})) for e in (False, True)]
 
     def row(name: str, report: dict) -> dict:
         return {
@@ -597,10 +571,10 @@ def stage_pipeline(config: PipelineConfig) -> dict:
 
     payload = {
         "comparison": [row("encoder+dnn", cv_enc), row("dnn", cv_raw)],
-        "class_weights_enabled": bool(config["classifier"]["use_class_weights"]),
+        "class_weights_enabled": settings["classifier"]["use_class_weights"],
         "meta": _meta("pipeline"),
     }
-    _write_json(config.work_dir() / "pipeline_report.json", payload)
+    _write_json(_work_dir(settings) / "pipeline_report.json", payload)
     return payload
 
 
@@ -646,8 +620,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     stage_name = args.command
     try:
-        config = build_config(args)
-        payload = STAGES[stage_name](config)
+        settings = build_config(args)
+        payload = STAGES[stage_name](settings)
         print(json.dumps(payload, indent=2))
         return 0
     except ConfigError as exc:

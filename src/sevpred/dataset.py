@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -501,11 +502,12 @@ def read_manifest(fh, path: str | Path, fmt: str, kind: str) -> dict:
 
 
 def json_fits(value, shape) -> bool:
-    """Whether parsed JSON ``value`` has ``shape``: a Python type (``float``
-    accepts an int; neither number type accepts a bool), ``[s]`` for a list
-    of items of shape ``s``, ``{str: s}`` for an object whose values have
-    shape ``s``, or ``{"name": s, ...}`` for an object with at least those
-    fields, each of its shape."""
+    """Whether parsed JSON ``value`` has ``shape``: a Python type or tuple of
+    types, ``[s]`` for a list of items of shape ``s``, ``{str: s}`` for an
+    object whose values have shape ``s``, or ``{"name": s, ...}`` for an
+    object with at least those fields, each of its shape. A number must fit
+    float64 arithmetic: an int lies in int64 range and a float is finite;
+    ``float`` accepts an int, and neither number type accepts a bool."""
     if isinstance(shape, list):
         return isinstance(value, list) and all(json_fits(v, shape[0]) for v in value)
     if isinstance(shape, dict):
@@ -516,7 +518,11 @@ def json_fits(value, shape) -> bool:
         return all(name in value and json_fits(value[name], s) for name, s in shape.items())
     if isinstance(value, bool):
         return shape is bool
-    return isinstance(value, (int, float) if shape is float else shape)
+    if isinstance(value, int):
+        return shape in (int, float) and -2**63 <= value < 2**63
+    if isinstance(value, float):
+        return shape is float and math.isfinite(value)
+    return isinstance(value, shape)
 
 
 def load_json_artifact(path: str | Path, kind: str, fields: dict) -> dict:

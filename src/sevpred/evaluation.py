@@ -12,7 +12,8 @@ sets can hit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -202,7 +203,8 @@ def cross_validate(
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate value lists; the search covers their Cartesian product in
-    field order (neurons, dropout, batch size, l2)."""
+    field order. The fields are the swept ``ClassifierConfig`` settings, and
+    each default's items give the type its cells cast values to."""
 
     initial_neurons: tuple = (1218, 2436, 3654)
     initial_dropout: tuple = (0.2, 0.3, 0.4)
@@ -210,29 +212,19 @@ class GridSpec:
     l2_penalty: tuple = (0.001, 0.0001)
 
     def __post_init__(self):
-        for name in ("initial_neurons", "initial_dropout", "batch_size", "l2_penalty"):
-            if not len(getattr(self, name)):
-                raise DataError(f"grid list {name} must be non-empty")
+        for f in fields(self):
+            values = tuple(getattr(self, f.name))
+            if not values:
+                raise DataError(f"grid list {f.name} must be non-empty")
+            object.__setattr__(self, f.name, values)
 
     def size(self) -> int:
-        return (
-            len(self.initial_neurons) * len(self.initial_dropout)
-            * len(self.batch_size) * len(self.l2_penalty)
-        )
+        return math.prod(len(getattr(self, f.name)) for f in fields(self))
 
     def cells(self) -> list[dict]:
-        combos = itertools.product(
-            self.initial_neurons, self.initial_dropout, self.batch_size, self.l2_penalty
-        )
-        return [
-            {
-                "initial_neurons": int(n),
-                "initial_dropout": float(d),
-                "batch_size": int(b),
-                "l2_penalty": float(l2),
-            }
-            for n, d, b, l2 in combos
-        ]
+        casts = {f.name: type(f.default[0]) for f in fields(self)}
+        combos = itertools.product(*(getattr(self, name) for name in casts))
+        return [{name: cast(v) for (name, cast), v in zip(casts.items(), combo)} for combo in combos]
 
 
 @dataclass(frozen=True)
@@ -292,10 +284,7 @@ def grid_search(
     for i, cell in enumerate(grid.cells()):
         # seed derives from the cell's values, so duplicate cells train
         # identically and re-runs reproduce the report exactly
-        cell_seed = derive_seed(
-            seed,
-            "cell:{initial_neurons}:{initial_dropout}:{batch_size}:{l2_penalty}".format(**cell),
-        )
+        cell_seed = derive_seed(seed, ":".join(["cell", *map(str, cell.values())]))
         cfg = replace(base, **cell, seed=cell_seed)
         _, history = train_classifier(
             cfg, train_x, train_y, val_x, val_y,

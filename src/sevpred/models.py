@@ -93,8 +93,9 @@ class AutoencoderConfig:
     hidden_activation: str = "relu"
 
     def __post_init__(self):
-        if not self.encoder_widths:
-            raise DataError("encoder_widths must be non-empty")
+        object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
+        if not self.encoder_widths or min(self.encoder_widths) < 1:
+            raise DataError("encoder_widths must be non-empty positive widths")
         if self.latent_dim > self.input_dim:
             raise DataError("latent dimension cannot exceed the input width")
         if self.epochs < 1 or self.batch_size < 1:

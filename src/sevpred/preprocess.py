@@ -52,6 +52,11 @@ class Standardizer:
 
     moments: dict[str, tuple[float, float]]
 
+    def __post_init__(self):
+        for col, (_, std) in self.moments.items():
+            if std < 0:
+                raise DataError(f"std of column {col!r} is negative")
+
     def to_dict(self) -> dict:
         return {col: {"mean": m, "std": s} for col, (m, s) in self.moments.items()}
 
@@ -326,4 +331,8 @@ def load_preprocessor(path: str | Path) -> tuple[OneHotCodec, Standardizer, list
         codec = OneHotCodec.from_dict(payload["one_hot"])
     except DataError as exc:
         raise DataError(f"{path}: one_hot {exc}") from None
-    return codec, Standardizer.from_dict(payload["standardizer"]), payload["column_order"]
+    try:
+        standardizer = Standardizer.from_dict(payload["standardizer"])
+    except DataError as exc:
+        raise DataError(f"{path}: standardizer {exc}") from None
+    return codec, standardizer, payload["column_order"]

@@ -1,10 +1,15 @@
+import contextlib
 import copy
 import csv
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevpred import Dense, Dropout, NetworkSpec, init_params, save_model
 from sevpred.cli import DEFAULTS, main
@@ -167,6 +172,14 @@ class TestPreprocessTrainChain:
         ("selection.json", "selected", "x", "preprocess"),
         ("preprocessor.json", "one_hot",
          {"cat_0": ["k4", "k3", "k0", "k1", "k2"], "cat_1": ["k0", "k0", "k3", "k4", "k1"]}, "predict"),
+        pytest.param("splits.json", "train", [10**400], "train", id="splits.json-train-401-digits"),
+        pytest.param("targets.json", "labels", [10**400], "train", id="targets.json-labels-401-digits"),
+        pytest.param("preprocessor.json", "standardizer",
+                     {f"num_{i}": {"mean": 0.0, "std": -1.0 if i == 0 else 1.0} for i in range(3)},
+                     "predict", id="preprocessor.json-standardizer-negative-std"),
+        pytest.param("preprocessor.json", "standardizer",
+                     {f"num_{i}": {"mean": float("nan") if i == 0 else 0.0, "std": 1.0} for i in range(3)},
+                     "predict", id="preprocessor.json-standardizer-nan-mean"),
     ])
     def test_wrong_typed_json_field_exit_2(self, csv_workspace, capsys, name, field, value, command):
         for cmd in ("associate", "preprocess"):
@@ -386,15 +399,62 @@ class TestConfigPlumbing:
         ["--set", "autoencoder.learning_rate=-5"],
         ["--set", "association.n_bins=1"],
         ["--config", "list.json"],
+        ["--set", "classifier.l2_penalty=NaN"],
+        ["--set", "classifier.learning_rate=Infinity"],
+        ["--set", "autoencoder.learning_rate=Infinity"],
+        ["--set", "grid.l2_penalty=[NaN]"],
+        ["--set", "split.ratios=[NaN,0.5,0.5]"],
+        ["--set", "autoencoder.encoder_widths=[8,0]"],
+        pytest.param(["--set", "classifier.learning_rate=1" + "0" * 400], id="learning_rate-401-digits"),
+        pytest.param(["--set", "association.n_bins=1" + "0" * 400], id="n_bins-401-digits"),
+        pytest.param(["--seed", "1" + "0" * 400], id="seed-flag-401-digits"),
+        ["--config", "nan.json"],
+        ["--config", "overflow.json"],
+        ["--config", "not_utf8.json"],
     ], ids=lambda args: args[-1])
     def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
         (csv_workspace / "data.csv").write_bytes(b"\xff\n")
         (csv_workspace / "list.json").write_text("[1, 2]", encoding="utf-8")
+        (csv_workspace / "not_utf8.json").write_bytes(b"\xff{}")
+        # full configs that Python's json reads: NaN, and 1e309 as inf
+        config = json.loads((csv_workspace / "config.json").read_text(encoding="utf-8"))
+        nan = {**config, "classifier": {**config["classifier"], "l2_penalty": float("nan")}}
+        (csv_workspace / "nan.json").write_text(json.dumps(nan), encoding="utf-8")
+        overflow = {**config, "autoencoder": {**config["autoencoder"], "learning_rate": "big"}}
+        (csv_workspace / "overflow.json").write_text(
+            json.dumps(overflow).replace('"big"', "1e309"), encoding="utf-8")
         monkeypatch.chdir(csv_workspace)
         capsys.readouterr()
         assert run_cmd(csv_workspace, "stats", *args) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "ConfigError"
+
+    def test_flags_are_set_shorthands(self, csv_workspace, capsys):
+        """--no-class-weights takes the --set path: a scalar config section
+        is an error under the flag as under --set."""
+        path = csv_workspace / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "classifier": 5}), encoding="utf-8")
+        for flag in (["--no-class-weights"], ["--set", "classifier.use_class_weights=false"]):
+            capsys.readouterr()
+            assert run_cmd(csv_workspace, "stats", *flag) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["error"]["type"] == "ConfigError"
+            assert "classifier" in err["error"]["message"]
+
+    def test_set_of_object_merges_into_section(self, csv_workspace):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        assert run_cmd(csv_workspace, "train", "--set", 'classifier={"epochs": 2}') == 0
+        config = json.loads((csv_workspace / "config.json").read_text(encoding="utf-8"))
+        assert read_json(csv_workspace, "history.json")["config"] == {**config["classifier"], "epochs": 2}
+        assert run_cmd(csv_workspace, "stats", "--set", "autoencoder={}") == 0
+
+    def test_readme_config_block_is_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULTS
 
     def test_unknown_key_in_config_file_exits_1(self, csv_workspace, capsys):
         path = csv_workspace / "config.json"
@@ -473,3 +533,127 @@ class TestGoldenArtifacts:
                 data = json.dumps(strip_meta(json.loads(data)), sort_keys=True).encode()
             digests[name] = hashlib.sha256(data).hexdigest()
         assert digests == self.DIGESTS
+
+
+class TestGoldenTrainingArtifacts:
+    """Byte identity, at a fixed seed, of what the training stages print and
+    write on the small workspace config. JSON is compared with "meta"
+    stripped and the workspace path replaced by a placeholder, keys in their
+    written order; every other file is compared byte for byte. A change to a stage's config plumbing,
+    seed labels or grid cells fails here."""
+
+    WRITES = {
+        "train-ae": ("autoencoder.model", "ae_history.json"),
+        "encode": ("latent.fmx",),
+        "train": ("classifier.model", "history.json", "test_metrics.json"),
+        "grid": ("grid_report.json", "grid_report.csv"),
+        "cv": ("cv_report.json", "cv_report.csv"),
+        "predict": ("predictions.csv",),
+        "pipeline": ("pipeline_report.json", "classifier_encoded.model", "history_encoded.json",
+                     "test_metrics_encoded.json", "cv_report_encoded.json", "cv_report_encoded.csv"),
+    }
+    DIGESTS = {
+        "cv:cv_report.csv": "e3b87d7fb64ee71e95b8f2640f2117497246bb31c0efd2f0df6ec07ac4f64002",
+        "cv:cv_report.json": "707396a2e118596f8f28f747152bf9d4616080d7c932bbcc2223206926c71a73",
+        "cv:stdout": "707396a2e118596f8f28f747152bf9d4616080d7c932bbcc2223206926c71a73",
+        "encode:latent.fmx": "9edde41aa86a77a3074b835e1d045ea7b7dbf925d099a976e12cc3bb81745288",
+        "encode:stdout": "12256566ac382eea461c2372beb8fcfecaf90f9cc312dc64134ad80c7ca1905f",
+        "grid:grid_report.csv": "2ea0e4b83e7b0213b411bae274420289a703b5e2e63f9e7cac58def67ac1210b",
+        "grid:grid_report.json": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
+        "grid:stdout": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
+        "pipeline:classifier_encoded.model": "0147f9dd42870798841579ee2283d5608187ff66ee829ccbf3a9882503e2ab99",
+        "pipeline:cv_report_encoded.csv": "230c6d13d7e3424f10c41d8bafadde72ef23ae3af30d7a947ef3d2b880273889",
+        "pipeline:cv_report_encoded.json": "37f2dd71d17ec4db063a404fb3392e377ef97b143ab0c5dbd5cd31be697e9904",
+        "pipeline:history_encoded.json": "e2c3c8d93380c064db1956d0c0c928a546f6e9eb9a177d4fcc33373c276e5157",
+        "pipeline:pipeline_report.json": "f7a08b75c30c2378537dff4e106c5aa1e75be17098910910065dff2e75fe064b",
+        "pipeline:stdout": "f7a08b75c30c2378537dff4e106c5aa1e75be17098910910065dff2e75fe064b",
+        "pipeline:test_metrics_encoded.json": "427e0c4e101b965ba8f281619cc8633e00fbe7d9c88b9ed2e1254bbd41f9cb7a",
+        "predict:predictions.csv": "4a2ca75b6e20eef2316ec530445d6fe7f473a170df57dd86d5d5edc81b99573a",
+        "predict:stdout": "3983763ab7e6cf3dd69ece13ac0d19bbccdae622abcda1e1ea7785b4b24083cd",
+        "train-ae:ae_history.json": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
+        "train-ae:autoencoder.model": "e06c169586f4a21fd0062d5ae224dd3a8e50117e61744f0a2c3aadbce8c1423f",
+        "train-ae:stdout": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
+        "train:classifier.model": "acec892277ec5c37eadbd08a2b7cfc570cd995dab920a96ae4592a519f04938a",
+        "train:history.json": "e67e0fb3df568b7b0e65f0a8b08e2516362d0c966eaa057f8e8707f730191f33",
+        "train:stdout": "1d827100406d1a879fe18a646c73e25efd1dd76540012560ce042051cd3bc6dd",
+        "train:test_metrics.json": "1d827100406d1a879fe18a646c73e25efd1dd76540012560ce042051cd3bc6dd",
+    }
+
+    @staticmethod
+    def _digest(data: bytes, is_json: bool, root: str) -> str:
+        if is_json:
+            # key order is kept: it is part of what a stage prints
+            text = json.dumps(strip_meta(json.loads(data)))
+            data = text.replace(root, "<work>").encode()
+        return hashlib.sha256(data).hexdigest()
+
+    def test_training_stage_payloads_and_files(self, csv_workspace, capsys):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        root, out = str(csv_workspace), csv_workspace / "out"
+        digests = {}
+        for stage, names in self.WRITES.items():
+            capsys.readouterr()
+            assert run_cmd(csv_workspace, stage) == 0, stage
+            printed = capsys.readouterr().out.encode()
+            digests[f"{stage}:stdout"] = self._digest(printed, True, root)
+            for name in names:
+                data = (out / name).read_bytes()
+                digests[f"{stage}:{name}"] = self._digest(data, name.endswith(".json"), root)
+        assert digests == self.DIGESTS
+
+
+def _leaves(node, prefix=""):
+    """(dotted path, default) for every non-object value under ``node``."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _admitted(default) -> set:
+    """The JSON kinds a leaf with this default takes."""
+    if default is None:
+        return {"null", "str"}
+    if isinstance(default, bool):
+        return {"bool"}
+    if isinstance(default, float):
+        return {"int", "float"}
+    return {{int: "int", str: "str", list: "list"}[type(default)]}
+
+
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(-1e6, 1e6).filter(lambda x: x != int(x)),
+    "str": st.text(max_size=5),
+    "list": st.lists(st.integers(0, 9), max_size=3),
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=2),
+}
+
+
+@st.composite
+def _wrong_typed_leaf(draw):
+    path, default = draw(st.sampled_from(list(_leaves(DEFAULTS))))
+    kind = draw(st.sampled_from(sorted(set(JSON_KINDS) - _admitted(default))))
+    return path, draw(JSON_KINDS[kind])
+
+
+class TestSetTypeProperty:
+    """Every leaf of DEFAULTS, set with --set to a JSON value of a type its
+    default does not admit, exits 1 with a ConfigError and leaves DEFAULTS
+    as it was."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_wrong_typed_leaf())
+    def test_wrong_type_exits_1(self, case):
+        path, value = case
+        snapshot = copy.deepcopy(DEFAULTS)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["stats", "--set", f"{path}={json.dumps(value)}"])
+        assert code == 1
+        assert json.loads(err.getvalue().strip().splitlines()[-1])["error"]["type"] == "ConfigError"
+        assert DEFAULTS == snapshot

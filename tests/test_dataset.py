@@ -434,6 +434,8 @@ class TestJsonFits:
         (3, int), (3, float), (2.5, float), (True, bool), ("a", str),
         ([], [int]), ([1, 2], [int]), ({"a": ["x"], "b": []}, {str: [str]}),
         ({"mean": 0, "std": 1.5, "extra": None}, {"mean": float, "std": float}),
+        (2**63 - 1, int), (-2**63, int), (2**63 - 1, float), (1.7e308, float),
+        (None, (str, type(None))), ("a", (str, type(None))),
     ])
     def test_fits(self, value, shape):
         assert json_fits(value, shape)
@@ -442,6 +444,10 @@ class TestJsonFits:
         (True, int), (False, float), (2.5, int), ("1", int), (None, int),
         ("ab", [str]), ([1, "x"], [int]), ([[1]], [int]), ([], {str: [str]}),
         ({"a": 1}, {str: [str]}), ({"mean": 0}, {"mean": float, "std": float}),
+        (2**63, int), (-2**63 - 1, int), (10**400, int), (10**400, float),
+        (float("nan"), float), (float("inf"), float), (float("-inf"), float),
+        ([0.5, float("nan")], [float]), ({"mean": float("inf"), "std": 1.0}, {"mean": float, "std": float}),
+        (1, (str, type(None))), (True, (str, type(None))),
     ])
     def test_does_not_fit(self, value, shape):
         assert not json_fits(value, shape)

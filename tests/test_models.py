@@ -77,6 +77,11 @@ class TestAutoencoder:
         with pytest.raises(DataError):
             AutoencoderConfig(input_dim=8, encoder_widths=(16,))
 
+    @pytest.mark.parametrize("widths", [(), (4, 0), (-2,)])
+    def test_widths_must_be_positive(self, widths):
+        with pytest.raises(DataError):
+            AutoencoderConfig(input_dim=8, encoder_widths=widths)
+
     def test_loss_decreases(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(200, 32)) @ rng.normal(size=(32, 32)) * 0.2

@@ -143,6 +143,10 @@ class TestOneHotMatchesReference:
 
 
 class TestStandardizer:
+    def test_negative_std_rejected(self):
+        with pytest.raises(DataError):
+            Standardizer({"x": (0.0, -1.0)})
+
     def test_hand_computed_population_std(self):
         table = table_from(numeric={"x": [1.0, 2.0, 3.0]})
         standardizer = fit_standardizer(table, ["x"])
