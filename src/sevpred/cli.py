@@ -56,7 +56,7 @@ from .preprocess import (
     save_splits,
     stratified_split,
 )
-from .rng import derive_seed
+from .rng import SEEDS, derive_seed
 
 DEFAULTS: dict = {
     "data": {"csv": None, "schema": None},
@@ -124,7 +124,7 @@ def _check_types(settings: dict, defaults: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be an object, got {value!r}")
             _check_types(value, default, name + ".")
-        elif not json_fits(value, _shape(default)):
+        elif not json_fits(value, SEEDS if name == "seed" else _shape(default)):
             raise ConfigError(f"{name} must match the type of its default {default!r}, got {value!r}")
 
 

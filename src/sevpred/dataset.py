@@ -505,9 +505,12 @@ def json_fits(value, shape) -> bool:
     """Whether parsed JSON ``value`` has ``shape``: a Python type or tuple of
     types, ``[s]`` for a list of items of shape ``s``, ``{str: s}`` for an
     object whose values have shape ``s``, or ``{"name": s, ...}`` for an
-    object with at least those fields, each of its shape. A number must fit
-    float64 arithmetic: an int lies in int64 range and a float is finite;
-    ``float`` accepts an int, and neither number type accepts a bool."""
+    object with at least those fields, each of its shape, or a ``range`` for
+    an int in it. A number must fit float64 arithmetic: an int lies in int64
+    range and a float is finite; ``float`` accepts an int, and no number shape
+    accepts a bool."""
+    if isinstance(shape, range):
+        return type(value) is int and value in shape
     if isinstance(shape, list):
         return isinstance(value, list) and all(json_fits(v, shape[0]) for v in value)
     if isinstance(shape, dict):

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import ColumnKind, Table, largest_remainder_counts
 from .dataset import atomic_write, json_fits, load_json_artifact, read_floats, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
-from .rng import make_rng
+from .rng import SEEDS, make_rng
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def save_splits(path: str | Path, splits: SplitIndices) -> None:
 
 def load_splits(path: str | Path) -> SplitIndices:
     payload = load_json_artifact(
-        path, "splits", {"train": [int], "val": [int], "test": [int], "seed": int}
+        path, "splits", {"train": [int], "val": [int], "test": [int], "seed": SEEDS}
     )
     return SplitIndices(
         train=np.asarray(payload["train"], dtype=np.int64),

@@ -12,6 +12,10 @@ import hashlib
 
 import numpy as np
 
+SEEDS = range(-2**63, 2**64)
+"""The seeds a run takes and records: any int64 or uint64, which covers every
+:func:`derive_seed` value."""
+
 
 def derive_seed(master: int, label: str) -> int:
     """Derive a 64-bit child seed from ``master`` and a stage label."""

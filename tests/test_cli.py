@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sevpred import Dense, Dropout, NetworkSpec, init_params, save_model
 from sevpred.cli import DEFAULTS, main
+from sevpred.rng import derive_seed
 from tests.conftest import strip_meta
 
 
@@ -359,6 +360,21 @@ class TestConfigPlumbing:
         ]) == 0
         splits_b = read_json(csv_workspace, "splits.json")
         assert splits_a["train"] != splits_b["train"]
+
+    def test_uint64_split_seed_reloads(self, csv_workspace):
+        """derive_seed returns a uint64; master seed 6 puts the split seed at
+        2**63 or more, and train must read back the splits.json holding it."""
+        assert derive_seed(6, "split") >= 2**63
+        for cmd in ("associate", "preprocess", "train"):
+            assert run_cmd(csv_workspace, cmd, "--seed", "6") == 0
+        assert read_json(csv_workspace, "splits.json")["seed"] == derive_seed(6, "split")
+
+    @pytest.mark.parametrize("seed, code", [
+        (-2**63, 0), (2**63, 0), (2**64 - 1, 0), (-2**63 - 1, 1), (2**64, 1),
+    ])
+    def test_seed_takes_int64_or_uint64(self, csv_workspace, capsys, seed, code):
+        assert run_cmd(csv_workspace, "stats", "--seed", str(seed)) == code
+        assert run_cmd(csv_workspace, "stats", "--set", f"seed={seed}") == code
 
     @pytest.mark.parametrize("expr", [
         'cv.folds="x"', "cv.folds=2.5", "classifier.use_class_weights=1",

@@ -37,6 +37,7 @@ from sevpred.errors import (
     MissingColumn,
     TargetOutOfRange,
 )
+from sevpred.rng import SEEDS
 
 SCHEMA = SchemaSpec(
     columns=(
@@ -436,6 +437,7 @@ class TestJsonFits:
         ({"mean": 0, "std": 1.5, "extra": None}, {"mean": float, "std": float}),
         (2**63 - 1, int), (-2**63, int), (2**63 - 1, float), (1.7e308, float),
         (None, (str, type(None))), ("a", (str, type(None))),
+        (-2**63, SEEDS), (2**64 - 1, SEEDS), ({"seed": 2**63}, {"seed": SEEDS}),
     ])
     def test_fits(self, value, shape):
         assert json_fits(value, shape)
@@ -448,6 +450,7 @@ class TestJsonFits:
         (float("nan"), float), (float("inf"), float), (float("-inf"), float),
         ([0.5, float("nan")], [float]), ({"mean": float("inf"), "std": 1.0}, {"mean": float, "std": float}),
         (1, (str, type(None))), (True, (str, type(None))),
+        (-2**63 - 1, SEEDS), (2**64, SEEDS), (True, SEEDS), (1.0, SEEDS), ("1", SEEDS), ([1], SEEDS),
     ])
     def test_does_not_fit(self, value, shape):
         assert not json_fits(value, shape)
