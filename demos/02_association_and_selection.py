@@ -2,7 +2,8 @@
 
 Builds contingency tables by hand to show the chi-square -> V path, then
 computes a full association matrix over a mixed-type table (numerics join via
-quantile binning) and selects the columns most associated with the target.
+quantile binning) and selects the columns most associated with the target by
+reading the target's row of that matrix.
 
 Run: python demos/02_association_and_selection.py
 """
@@ -53,8 +54,9 @@ matrix = association_matrix(table, n_bins=8)
 print("\nassociation matrix labels:", matrix.labels)
 print(np.round(matrix.values, 3))
 
-report = select_features(table, threshold=0.2, n_bins=8)
-print("\nranked against the target:")
+# selection reads the target's row of the matrix: no V is computed twice
+report = select_features(matrix, table.schema.target, threshold=0.2)
+print("\nranked against the target (its row of the matrix):")
 for name, v in report.ranked:
     marker = "*" if name in report.selected else " "
     print(f"  {marker} {name:8s} V={v:.4f}")

@@ -6,6 +6,8 @@ measure covers every column-type pair. Table columns are used as the codes
 that occur in them; :func:`build_contingency` codes loose arrays. Every table
 is one ``bincount`` over the codes of its two columns. Plain (uncorrected) V
 is the default; the small-sample bias correction sits behind a flag.
+:func:`association_matrix` computes V once per column pair, and
+:func:`select_features` reads the target's row of that matrix.
 """
 
 from __future__ import annotations
@@ -148,13 +150,6 @@ def _categorize(table: Table, name: str, n_bins: int) -> tuple[np.ndarray, np.nd
     return codes, levels
 
 
-def column_pair_v(
-    table: Table, a: str, b: str, n_bins: int = DEFAULT_BINS, bias_corrected: bool = False
-) -> float:
-    ct = _cross_tab(_categorize(table, a, n_bins), _categorize(table, b, n_bins))
-    return cramers_v(ct, bias_corrected=bias_corrected)
-
-
 def association_matrix(
     table: Table, n_bins: int = DEFAULT_BINS, bias_corrected: bool = False
 ) -> AssociationMatrix:
@@ -177,24 +172,12 @@ def association_matrix(
     return AssociationMatrix(labels=tuple(names), values=values)
 
 
-def select_features(
-    table: Table,
-    threshold: float,
-    n_bins: int = DEFAULT_BINS,
-    bias_corrected: bool = False,
-) -> SelectionReport:
-    """Rank non-target columns by V against the target and keep those with
-    V >= threshold. Ties keep schema order (the sort is stable)."""
-    if table.has_missing():
-        raise DataError("select_features requires an imputed table")
-    target_name = table.schema.target
-    target = _categorize(table, target_name, n_bins)
-    scored = []
-    for name in table.schema.names:
-        if name == target_name:
-            continue
-        ct = _cross_tab(_categorize(table, name, n_bins), target)
-        scored.append((name, cramers_v(ct, bias_corrected=bias_corrected)))
-    ranked = sorted(scored, key=lambda item: -item[1])
+def select_features(matrix: AssociationMatrix, target: str, threshold: float) -> SelectionReport:
+    """Rank the other columns by their V in ``target``'s row of ``matrix`` and
+    keep those with V >= threshold. Ties keep matrix order (the sort is
+    stable)."""
+    row = matrix.values[matrix.labels.index(target)]
+    scored = [(name, float(v)) for name, v in zip(matrix.labels, row) if name != target]
+    ranked = tuple(sorted(scored, key=lambda item: -item[1]))
     selected = tuple(name for name, v in ranked if v >= threshold)
-    return SelectionReport(threshold=float(threshold), ranked=tuple(ranked), selected=selected)
+    return SelectionReport(threshold=float(threshold), ranked=ranked, selected=selected)

@@ -196,13 +196,13 @@ def build_config(args: argparse.Namespace) -> dict:
     assignments = []
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except OSError as exc:  # missing, a directory, or unreadable
+            raise ConfigError(f"config file {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         assignments = [([key], value) for key, value in file_cfg.items()]
@@ -285,10 +285,7 @@ def stage_associate(settings: dict) -> dict:
     ]
     work = _work_dir(settings)
     _write_csv_rows(work / "association_matrix.csv", ["", *matrix.labels], rows)
-    report = select_features(
-        table, assoc_cfg["threshold"], n_bins=assoc_cfg["n_bins"],
-        bias_corrected=assoc_cfg["bias_corrected"],
-    )
+    report = select_features(matrix, table.schema.target, assoc_cfg["threshold"])
     payload = {
         "threshold": report.threshold,
         "ranked": [[name, v] for name, v in report.ranked],

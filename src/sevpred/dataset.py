@@ -213,6 +213,7 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     Unparseable or non-finite numeric cells are marked missing;
     categorical/boolean cells are taken verbatim (trimmed). A row shorter
     than the header reads blank past its end, and an empty line is skipped.
+    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is not text.
     Rows whose target cell is missing or unparseable are dropped and counted
     in ``Table.n_dropped``. A parseable target outside ``1..K`` raises
     :class:`TargetOutOfRange` with the row's index among the data lines.
@@ -221,7 +222,7 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     header; all rows then receive the placeholder label 1 (used by ``predict``
     on unlabeled data).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -32,8 +32,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"{status}  criterion {criterion_number(name)}: {name}")
 
 
-@pytest.fixture
-def small_table():
+def make_small_table():
     spec = SyntheticSpec(
         n_rows=400,
         class_proportions=(0.1, 0.5, 0.3, 0.1),
@@ -46,8 +45,17 @@ def small_table():
 
 
 @pytest.fixture
+def small_table():
+    return make_small_table()
+
+
+@pytest.fixture
 def csv_workspace(tmp_path, small_table):
     """Synthetic CSV + schema file + config file; returns the directory."""
+    return write_workspace(tmp_path, small_table)
+
+
+def write_workspace(tmp_path, small_table):
     write_csv(small_table, tmp_path / "data.csv")
     with open(tmp_path / "schema.json", "w", encoding="utf-8") as fh:
         json.dump(schema_to_dict(small_table.schema), fh)

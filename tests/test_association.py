@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevpred import (
+    ColumnKind,
     ContingencyTable,
     SyntheticSpec,
     association_matrix,
@@ -18,7 +19,6 @@ from sevpred import (
     select_features,
     write_csv,
 )
-from sevpred.association import column_pair_v
 from sevpred.errors import DataError, LengthMismatch
 
 
@@ -235,7 +235,9 @@ class TestAssociationMatrix:
         back = ingest_csv(tmp_path / "subset.csv", small_table.schema)
         np.testing.assert_array_equal(association_matrix(subset, n_bins=5).values,
                                       association_matrix(back, n_bins=5).values)
-        assert select_features(subset, 0.1, n_bins=5) == select_features(back, 0.1, n_bins=5)
+        target = small_table.schema.target
+        assert (select_features(association_matrix(subset, n_bins=5), target, 0.1)
+                == select_features(association_matrix(back, n_bins=5), target, 0.1))
 
     def test_symmetric_and_unit_diagonal(self, small_table):
         matrix = association_matrix(small_table, n_bins=5)
@@ -250,15 +252,18 @@ class TestAssociationMatrix:
         b = rng.integers(0, 6, size=n).astype(str)
         assert cramers_v(build_contingency(a, b)) < 0.05
 
-    def test_entries_match_pairwise_calls(self, small_table):
-        matrix = association_matrix(small_table, n_bins=5)
-        names = list(matrix.labels)
-        for i in range(len(names)):
-            for j in range(len(names)):
-                if i == j:
-                    continue
-                v = column_pair_v(small_table, names[i], names[j], n_bins=5)
-                assert matrix.values[i, j] == v
+    @pytest.mark.parametrize("bias_corrected", [False, True])
+    def test_entries_match_pairwise_calls(self, small_table, bias_corrected):
+        matrix = association_matrix(small_table, n_bins=5, bias_corrected=bias_corrected)
+        schema = small_table.schema
+        cells = {name: bin_numeric(small_table.columns[name], 5)
+                 if schema.kind_of(name) == ColumnKind.NUMERIC else small_table.columns[name]
+                 for name in matrix.labels}
+        for i, a in enumerate(matrix.labels):
+            for j, b in enumerate(matrix.labels):
+                if i != j:
+                    table = build_contingency(cells[a], cells[b])
+                    assert matrix.values[i, j] == cramers_v(table, bias_corrected=bias_corrected)
 
 
 class TestSelectFeatures:
@@ -270,11 +275,11 @@ class TestSelectFeatures:
         return replace(table, columns={**table.columns, "cat_0": cells}, labels=labels)
 
     def test_threshold_zero_selects_all(self, small_table):
-        report = select_features(small_table, threshold=0.0, n_bins=4)
+        report = select_features(association_matrix(small_table, n_bins=4), "severity", 0.0)
         assert set(report.selected) == set(small_table.schema.feature_names())
 
     def test_threshold_one_selects_none(self, small_table):
-        report = select_features(small_table, threshold=1.0, n_bins=4)
+        report = select_features(association_matrix(small_table, n_bins=4), "severity", 1.0)
         assert report.selected == ()
 
     def test_determined_column_selected(self):
@@ -282,7 +287,7 @@ class TestSelectFeatures:
         rng = np.random.default_rng(5)
         table.columns["num_extra"] = rng.normal(size=table.n_rows)
         # splice an independent numeric column into the schema
-        from sevpred.dataset import ColumnKind, SchemaSpec, Table
+        from sevpred.dataset import SchemaSpec, Table
 
         cols = (("cat_0", ColumnKind.CATEGORICAL), ("num_extra", ColumnKind.NUMERIC),
                 ("severity", ColumnKind.TARGET))
@@ -293,13 +298,13 @@ class TestSelectFeatures:
             {n: np.zeros(table.n_rows, dtype=bool) for n, _ in cols},
             table.n_rows,
         )
-        report = select_features(table2, threshold=0.2, n_bins=6)
+        report = select_features(association_matrix(table2, n_bins=6), "severity", 0.2)
         assert report.selected == ("cat_0",)
         scores = dict(report.ranked)
         assert scores["cat_0"] > 0.99
         assert scores["num_extra"] < 0.1
 
     def test_ranked_descending(self, small_table):
-        report = select_features(small_table, threshold=0.5, n_bins=4)
+        report = select_features(association_matrix(small_table, n_bins=4), "severity", 0.5)
         values = [v for _, v in report.ranked]
         assert values == sorted(values, reverse=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sevpred import Dense, Dropout, NetworkSpec, init_params, save_model
 from sevpred.cli import DEFAULTS, main
 from sevpred.rng import derive_seed
-from tests.conftest import strip_meta
+from tests.conftest import make_small_table, strip_meta, write_workspace
 
 
 def run(csv_workspace, *args):
@@ -81,6 +81,21 @@ class TestAssociate:
         header = lines[0].split(",")
         assert header[0] == ""
         assert len(lines) == len(header)  # header + one row per label
+
+    def test_each_column_categorized_once(self, csv_workspace, monkeypatch):
+        import sevpred.association as association
+
+        calls = []
+        categorize = association._categorize
+
+        def counted(table, name, n_bins):
+            calls.append(name)
+            return categorize(table, name, n_bins)
+
+        monkeypatch.setattr(association, "_categorize", counted)
+        assert run_cmd(csv_workspace, "associate") == 0
+        schema = json.loads((csv_workspace / "schema.json").read_text(encoding="utf-8"))
+        assert sorted(calls) == sorted(column["name"] for column in schema["columns"])
 
 
 class TestPreprocessTrainChain:
@@ -427,6 +442,8 @@ class TestConfigPlumbing:
         ["--config", "nan.json"],
         ["--config", "overflow.json"],
         ["--config", "not_utf8.json"],
+        pytest.param(["--config", "."], id="config-is-a-directory"),
+        ["--config", "missing.json"],
     ], ids=lambda args: args[-1])
     def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
         (csv_workspace / "data.csv").write_bytes(b"\xff\n")
@@ -551,6 +568,24 @@ class TestGoldenArtifacts:
         assert digests == self.DIGESTS
 
 
+class TestGoldenBiasCorrectedSelection:
+    """Byte identity of ``selection.json`` (without "meta") under the
+    bias-corrected V, with the target last (the plain workspace) and first
+    (the messy one) in the CSV."""
+
+    DIGESTS = {
+        "csv_workspace": "d3374d42595b10bb8c125734f02c28a35c97967ebec689cc7f7beaabcb50c034",
+        "messy_workspace": "6653498f9b498d9c1b6f392b224231093a9cae81ab0f3eda4746c7c8c2414a68",
+    }
+
+    @pytest.mark.parametrize("workspace", sorted(DIGESTS))
+    def test_selection_digest(self, workspace, request):
+        root = request.getfixturevalue(workspace)
+        assert run_cmd(root, "associate", "--set", "association.bias_corrected=true") == 0
+        data = json.dumps(strip_meta(read_json(root, "selection.json")), sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[workspace]
+
+
 class TestGoldenTrainingArtifacts:
     """Byte identity, at a fixed seed, of what the training stages print and
     write on the small workspace config. JSON is compared with "meta"
@@ -673,3 +708,49 @@ class TestSetTypeProperty:
         assert code == 1
         assert json.loads(err.getvalue().strip().splitlines()[-1])["error"]["type"] == "ConfigError"
         assert DEFAULTS == snapshot
+
+
+# each artifact kind and a stage that reads it
+TRUNCATED_READS = {
+    "features.fmx": "train",
+    "classifier.model": "predict",
+    "autoencoder.model": "encode",
+    "selection.json": "preprocess",
+    "splits.json": "train",
+    "targets.json": "train",
+    "preprocessor.json": "predict",
+}
+
+
+@pytest.fixture(scope="module")
+def trained_workspace(tmp_path_factory):
+    """A workspace holding every artifact in TRUNCATED_READS."""
+    root = write_workspace(tmp_path_factory.mktemp("trained"), make_small_table())
+    with contextlib.redirect_stdout(io.StringIO()):
+        for cmd in ("associate", "preprocess", "train-ae", "train"):
+            assert run_cmd(root, cmd) == 0, cmd
+    return root
+
+
+class TestTruncationProperty:
+    """Every artifact cut at any offset makes the stage that reads it exit 2
+    with a JSON DataError. A JSON artifact is cut before its closing brace,
+    since one that loses only its trailing newline is still whole."""
+
+    @pytest.mark.parametrize("name", sorted(TRUNCATED_READS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cut_artifact_exits_2(self, trained_workspace, name, data):
+        path = trained_workspace / "out" / name
+        whole = path.read_bytes()
+        end = len(whole.rstrip()) if name.endswith(".json") else len(whole)
+        offset = data.draw(st.integers(0, end - 1), label="offset")
+        err = io.StringIO()
+        try:
+            path.write_bytes(whole[:offset])
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cmd(trained_workspace, TRUNCATED_READS[name])
+        finally:
+            path.write_bytes(whole)
+        assert code == 2
+        assert json.loads(err.getvalue().strip().splitlines()[-1])["error"]["type"] == "DataError"

@@ -105,6 +105,19 @@ class TestIngest:
         assert table.n_rows == 1
         assert table.missing["Temperature"][0]
 
+    def test_utf8_bom_ingests_like_plain_file(self, tmp_path):
+        path = write(tmp_path, "Temperature,City,Signal,Severity\n70.5,Austin,true,2\n,,false,3\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, table = ingest_csv(path, SCHEMA), ingest_csv(bom, SCHEMA)
+        assert (table.n_rows, table.n_dropped) == (plain.n_rows, plain.n_dropped)
+        for name in SCHEMA.names:
+            np.testing.assert_array_equal(table.columns[name], plain.columns[name])
+            np.testing.assert_array_equal(table.missing[name], plain.missing[name])
+        assert table.labels.keys() == plain.labels.keys()
+        for name in plain.labels:
+            assert table.labels[name].tolist() == plain.labels[name].tolist()
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "Temperature,City,Severity\n70,Austin,2\n")
         with pytest.raises(MissingColumn):
