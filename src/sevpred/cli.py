@@ -303,6 +303,9 @@ def stage_preprocess(settings: dict) -> dict:
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
         raise DataError("feature selection is empty; lower association.threshold")
+    repeated = [name for i, name in enumerate(selected) if name in selected[:i]]
+    if repeated:
+        raise DataError(f"{selection}: selected names column {repeated[0]!r} more than once")
 
     splits = stratified_split(
         table.target, tuple(settings["split"]["ratios"]), seed=derive_seed(settings["seed"], "split")

@@ -467,7 +467,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Table:
 # -- artifact files -------------------------------------------------------------
 #
 # Feature matrices and models share one layout: a JSON manifest line (UTF-8,
-# newline terminated), then a little-endian float64 blob.
+# newline terminated), then a blob of little-endian typed sections.
 
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
@@ -482,22 +482,24 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def save_blob(path: str | Path, manifest: dict, arrays) -> None:
+def save_blob(path: str | Path, manifest: dict, sections) -> None:
+    """Write the manifest line, then each ``(dtype, array)`` section's values
+    row-major as that little-endian ``dtype``."""
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(manifest).encode("utf-8") + b"\n")
-        for a in arrays:
+        for dtype, a in sections:
             # a byte view of the array itself, so the data is not copied
-            fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8").reshape(-1).view(np.uint8)))
+            fh.write(memoryview(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8)))
 
 
-def read_manifest(fh, path: str | Path, fmt: str, kind: str) -> dict:
+def read_manifest(fh, path: str | Path, formats: tuple[str, ...], kind: str) -> dict:
     """The manifest line of the blob file open as ``fh``; DataError if it does
-    not parse (a cut or corrupt file) or names another format."""
+    not parse (a cut or corrupt file) or names none of ``formats``."""
     try:
         manifest = json.loads(fh.readline())
     except ValueError:
         raise DataError(f"{path}: unreadable {kind} manifest") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+    if not isinstance(manifest, dict) or manifest.get("format") not in formats:
         raise DataError(f"{path}: not a {kind} file")
     return manifest
 
@@ -549,14 +551,15 @@ def load_json_artifact(path: str | Path, kind: str, fields: dict) -> dict:
     return payload
 
 
-def read_floats(fh, path: str | Path, count: int) -> np.ndarray:
+def read_arrays(fh, path: str | Path, sections) -> list[np.ndarray]:
     """The rest of the blob file open as ``fh``, read straight into one
-    writable array of ``count`` float64 values; DataError if its length
-    differs (a cut or padded file)."""
+    writable flat array per ``(dtype, count)`` section; DataError if its
+    length differs from the sections' total (a cut or padded file)."""
+    expected = sum(np.dtype(dtype).itemsize * count for dtype, count in sections)
     size = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != 8 * count:
-        raise DataError(f"{path}: {size} data bytes where the manifest implies {8 * count}")
-    values = np.empty(count, dtype="<f8")
-    if fh.readinto(values.view(np.uint8)) != size:
+    if size != expected:
+        raise DataError(f"{path}: {size} data bytes where the manifest implies {expected}")
+    arrays = [np.empty(count, dtype=dtype) for dtype, count in sections]
+    if sum(fh.readinto(a.view(np.uint8)) for a in arrays) != size:
         raise DataError(f"{path}: data section changed while it was read")
-    return values
+    return arrays

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import json_fits, read_floats, read_manifest, save_blob
+from .dataset import json_fits, read_arrays, read_manifest, save_blob
 from .errors import (
     CacheMismatch,
     DataError,
@@ -485,16 +485,16 @@ def spec_from_dict(obj) -> NetworkSpec:
 
 def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: dict | None = None) -> None:
     manifest = {"format": MODEL_FORMAT, "spec": spec_to_dict(spec), "meta": meta or {}}
-    save_blob(path, manifest, [params.flat])
+    save_blob(path, manifest, [("<f8", params.flat)])
 
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
     with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, MODEL_FORMAT, "model")
+        manifest = read_manifest(fh, path, (MODEL_FORMAT,), "model")
         try:
             spec = spec_from_dict(manifest.get("spec"))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
         layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
-        flat = read_floats(fh, path, layout[-1][1])
+        (flat,) = read_arrays(fh, path, [("<f8", layout[-1][1])])
     return spec, Parameters.wrap(flat, layout), manifest.get("meta", {})

@@ -1,4 +1,4 @@
-"""Fit/transform encoders, dense feature-matrix assembly, and seeded
+"""Fit/transform encoders, compact feature-matrix assembly, and seeded
 stratified splits.
 
 Encoders are fitted on the training rows only and applied unchanged to
@@ -6,19 +6,22 @@ validation/test data, so no statistics leak across splits. Standardization
 uses the population (1/n) standard deviation; zero-variance columns transform
 to all-zeros. One-hot categories are the table labels that occur among the
 training rows, in order of first appearance there; blocks map categories
-unseen at fit time to all-zero vectors.
+unseen at fit time to all-zero vectors. An assembled matrix keeps each
+one-hot block as one integer code per row and builds its dense rows only
+when a stage reads them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import ColumnKind, Table, largest_remainder_counts
-from .dataset import atomic_write, json_fits, load_json_artifact, read_floats, read_manifest, save_blob
+from .dataset import atomic_write, json_fits, load_json_artifact, read_arrays, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import SEEDS, make_rng
 
@@ -65,31 +68,77 @@ class Standardizer:
         return cls({col: (d["mean"], d["std"]) for col, d in obj.items()})
 
 
+BLOCK_KINDS = ("numeric", "one_hot")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense n x d design matrix with one label per column, e.g.
-    "Start_Lat" or "City=Houston"."""
+    """n x d design matrix with one label per column, e.g. "Start_Lat" or
+    "City=Houston", held compactly: a float64 ``numeric`` block plus one
+    int32 ``codes`` column per one-hot block, each the fitted category's index
+    or -1 for a category unseen at fit time. ``blocks`` gives the column
+    order as ``(kind, width)`` runs: a "numeric" run takes the next ``width``
+    columns of ``numeric``, a "one_hot" run of width k is the next code
+    column's indicator block. ``FeatureMatrix(values, labels)`` is a dense
+    matrix: one numeric run and no codes.
 
-    values: np.ndarray
+    ``values`` is the dense n x d matrix, built once on first read (a dense
+    matrix's is the ``numeric`` array itself); ``n`` and ``d`` never build it.
+    """
+
+    numeric: np.ndarray
     column_labels: tuple[str, ...]
+    codes: np.ndarray | None = None
+    blocks: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.values.ndim != 2:
+        if self.numeric.ndim != 2:
             raise DimensionMismatch("feature matrix must be 2-D")
-        if self.values.shape[1] != len(self.column_labels):
+        if self.codes is None:
+            object.__setattr__(self, "codes", np.empty((self.numeric.shape[0], 0), dtype=np.int32))
+        if not self.blocks:
+            object.__setattr__(self, "blocks", (("numeric", self.numeric.shape[1]),))
+        if any(kind not in BLOCK_KINDS or width < 0 for kind, width in self.blocks):
+            raise DataError(f"feature matrix blocks need a kind among {BLOCK_KINDS} and a width >= 0")
+        one_hot = [width for kind, width in self.blocks if kind == "one_hot"]
+        if self.codes.ndim != 2 or self.codes.shape != (self.numeric.shape[0], len(one_hot)):
+            raise DimensionMismatch("feature matrix needs one code column per one-hot block, one per row")
+        if self.numeric.shape[1] != self.d - sum(one_hot):
             raise DimensionMismatch(
-                f"{self.values.shape[1]} columns vs {len(self.column_labels)} labels"
+                f"{self.numeric.shape[1]} numeric columns vs numeric blocks of width {self.d - sum(one_hot)}"
             )
-        if self.values.size and not np.isfinite(self.values).all():
+        if self.d != len(self.column_labels):
+            raise DimensionMismatch(f"{self.d} columns vs {len(self.column_labels)} labels")
+        if self.numeric.size and not np.isfinite(self.numeric).all():
             raise DataError("feature matrix contains non-finite entries")
+        if self.codes.size and ((self.codes < -1) | (self.codes >= np.asarray(one_hot))).any():
+            raise DataError("feature matrix has a one-hot code outside [-1, block width)")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.numeric.shape[0]
 
     @property
     def d(self) -> int:
-        return self.values.shape[1]
+        return sum(width for _, width in self.blocks)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        if not self.codes.shape[1]:
+            return self.numeric
+        out = np.zeros((self.n, self.d))
+        start = num = code = 0
+        for kind, width in self.blocks:
+            if kind == "numeric":
+                out[:, start:start + width] = self.numeric[:, num:num + width]
+                num += width
+            else:
+                col = self.codes[:, code]
+                hit = np.flatnonzero(col >= 0)
+                out[hit, start + col[hit]] = 1.0
+                code += 1
+            start += width
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,7 +178,8 @@ def transform_one_hot(codec: OneHotCodec, table: Table, columns=None) -> tuple[n
     for name in names:
         if name not in codec.categories:
             raise UnknownColumn(name)
-    return _encode(table, names, codec, Standardizer({}))
+    fm, unseen = _encode(table, names, codec, Standardizer({}))
+    return fm.values, unseen
 
 
 def fit_standardizer(table: Table, columns, rows=None) -> Standardizer:
@@ -152,38 +202,45 @@ def transform_standardize(standardizer: Standardizer, table: Table, columns=None
     for name in names:
         if name not in standardizer.moments:
             raise UnknownColumn(name)
-    return _encode(table, names, OneHotCodec({}), standardizer)[0]
+    return _encode(table, names, OneHotCodec({}), standardizer)[0].values
 
 
 def _encode(
     table: Table, names: list[str], codec: OneHotCodec, standardizer: Standardizer
-) -> tuple[np.ndarray, int]:
-    """The n x d encoding of ``names``, each fitted by ``standardizer`` or
-    else by ``codec``, written column slice by column slice into one zeroed
-    array, and the count of cells whose category was unseen at fit time.
-    UnknownColumn for a column of another kind than its encoder takes."""
+) -> tuple[FeatureMatrix, int]:
+    """The compact encoding of ``names``, each fitted by ``standardizer`` or
+    else by ``codec``: standardized numeric columns, one code column per
+    one-hot block, blocks and labels in ``names`` order; and the count of
+    cells whose category was unseen at fit time. UnknownColumn for a column
+    of another kind than its encoder takes."""
     for name in names:
         if not (table.schema.kind_of(name) == ColumnKind.NUMERIC if name in standardizer.moments
                 else name in table.labels):
             raise UnknownColumn(name)
-    widths = [1 if name in standardizer.moments else codec.width(name) for name in names]
-    out = np.zeros((table.n_rows, sum(widths)))
-    start = unseen = 0
-    for name, k in zip(names, widths):
+    n_numeric = sum(name in standardizer.moments for name in names)
+    numeric = np.zeros((table.n_rows, n_numeric))
+    codes = np.empty((table.n_rows, len(names) - n_numeric), dtype=np.int32)
+    labels: list[str] = []
+    blocks = []
+    i = j = 0
+    for name in names:
         if name in standardizer.moments:
             mean, std = standardizer.moments[name]
             if std > 0:
-                out[:, start] = (np.asarray(table.columns[name], dtype=np.float64) - mean) / std
+                numeric[:, i] = (np.asarray(table.columns[name], dtype=np.float64) - mean) / std
+            i += 1
+            labels.append(name)
+            blocks.append(("numeric", 1))
         else:
-            # each table label's fitted index, or k for one unseen at fit time
-            fitted = {c: i for i, c in enumerate(codec.categories[name])}
-            lookup = np.array([fitted.get(label, k) for label in table.labels[name].tolist()], dtype=np.int64)
-            codes = lookup[table.columns[name]]
-            hit = np.flatnonzero(codes < k)
-            out[hit, start + codes[hit]] = 1.0
-            unseen += table.n_rows - len(hit)
-        start += k
-    return out, unseen
+            # each table label's fitted index, or -1 for one unseen at fit time
+            fitted = {c: k for k, c in enumerate(codec.categories[name])}
+            lookup = np.array([fitted.get(label, -1) for label in table.labels[name].tolist()], dtype=np.int32)
+            codes[:, j] = lookup[table.columns[name]]
+            j += 1
+            labels.extend(f"{name}={c}" for c in fitted)
+            blocks.append(("one_hot", len(fitted)))
+    unseen = int(np.count_nonzero(codes < 0))
+    return FeatureMatrix(numeric, tuple(labels), codes, tuple(blocks)), unseen
 
 
 def assemble(
@@ -192,7 +249,8 @@ def assemble(
     standardizer: Standardizer,
     column_order=None,
 ) -> FeatureMatrix:
-    """Build the design matrix in deterministic column order.
+    """Build the design matrix in deterministic column order, compactly:
+    its dense ``values`` are built only when read.
 
     Order is schema order restricted to fitted columns (or an explicit
     ``column_order``); each numeric column contributes one standardized
@@ -201,15 +259,10 @@ def assemble(
     if column_order is None:
         fitted = set(codec.categories) | set(standardizer.moments)
         column_order = [n for n in table.schema.names if n in fitted]
-    labels: list[str] = []
     for name in column_order:
-        if name in standardizer.moments:
-            labels.append(name)
-        elif name in codec.categories:
-            labels.extend(f"{name}={c}" for c in codec.categories[name])
-        else:
+        if name not in standardizer.moments and name not in codec.categories:
             raise DimensionMismatch(f"column {name!r} not fitted by codec or standardizer")
-    return FeatureMatrix(_encode(table, list(column_order), codec, standardizer)[0], tuple(labels))
+    return _encode(table, list(column_order), codec, standardizer)[0]
 
 
 def stratified_allocate(labels, ratios, seed: int) -> list[np.ndarray]:
@@ -253,34 +306,56 @@ def stratified_split(targets, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitInd
 
 # -- file formats -------------------------------------------------------------
 #
-# A feature-matrix file's blob holds the n x d values, row-major.
+# A dense feature-matrix file's blob holds the n x d values, row-major. A
+# compact file's manifest adds the ``blocks`` layout, and its blob holds the
+# float64 numeric block, then the int32 codes, each row-major.
 
-FMX_FORMAT = "sevpred-fmx-1"
+FMX_DENSE, FMX_COMPACT = "sevpred-fmx-1", "sevpred-fmx-2"
 
 
 def save_feature_matrix(path: str | Path, fm: FeatureMatrix) -> None:
+    """Write ``fm`` in the compact format if it has one-hot blocks, else in
+    the dense one."""
+    compact = bool(fm.codes.shape[1])
     manifest = {
-        "format": FMX_FORMAT,
+        "format": FMX_COMPACT if compact else FMX_DENSE,
         "n": fm.n,
         "d": fm.d,
         "dtype": "float64",
         "byte_order": "little",
-        "labels": list(fm.column_labels),
     }
-    save_blob(path, manifest, [fm.values])
+    if compact:
+        manifest["blocks"] = [{"kind": kind, "width": width} for kind, width in fm.blocks]
+    manifest["labels"] = list(fm.column_labels)
+    save_blob(path, manifest, [("<f8", fm.numeric), ("<i4", fm.codes)])
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, FMX_FORMAT, "feature-matrix")
+        manifest = read_manifest(fh, path, (FMX_DENSE, FMX_COMPACT), "feature-matrix")
         if not (json_fits(manifest, {"n": int, "d": int, "labels": [str]})
                 and manifest["n"] >= 0 and len(manifest["labels"]) == manifest["d"]
                 and manifest.get("dtype") == "float64" and manifest.get("byte_order") == "little"):
             raise DataError(f"{path}: feature-matrix manifest needs int n >= 0, d string labels, "
                             "dtype float64 and byte_order little")
         n, d = manifest["n"], manifest["d"]
-        values = read_floats(fh, path, n * d).reshape(n, d)
-    return FeatureMatrix(values, tuple(manifest["labels"]))
+        if manifest["format"] == FMX_DENSE:
+            blocks = (("numeric", d),)
+        elif (json_fits(manifest, {"blocks": [{"kind": str, "width": int}]})
+              and all(b["kind"] in BLOCK_KINDS and b["width"] >= 0 for b in manifest["blocks"])
+              and sum(b["width"] for b in manifest["blocks"]) == d):
+            blocks = tuple((b["kind"], b["width"]) for b in manifest["blocks"])
+        else:
+            raise DataError(f"{path}: feature-matrix blocks need a kind among {BLOCK_KINDS} "
+                            "and widths >= 0 that sum to d")
+        one_hot = [width for kind, width in blocks if kind == "one_hot"]
+        width = d - sum(one_hot)
+        numeric, codes = read_arrays(fh, path, [("<f8", n * width), ("<i4", n * len(one_hot))])
+    try:
+        return FeatureMatrix(numeric.reshape(n, width), tuple(manifest["labels"]),
+                             codes.reshape(n, len(one_hot)), blocks)
+    except DataError as exc:  # a non-finite value or a code outside its block
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_splits(path: str | Path, splits: SplitIndices) -> None:

@@ -23,12 +23,24 @@ def write_fmx(path):
     save_feature_matrix(path, fm)
 
 
+def write_compact_fmx(path):
+    numeric = np.arange(8, dtype=np.float64).reshape(4, 2)
+    codes = np.array([[0, 2], [1, -1], [-1, 0], [0, 1]], dtype=np.int32)
+    blocks = (("numeric", 1), ("one_hot", 2), ("numeric", 1), ("one_hot", 3))
+    fm = FeatureMatrix(numeric, ("a", "b=x", "b=y", "c", "d=x", "d=y", "d=z"), codes, blocks)
+    save_feature_matrix(path, fm)
+
+
 def write_model(path):
     spec = NetworkSpec((Dense(3, 5, "relu"), Dropout(0.1), Dense(5, 2, "softmax")))
     save_model(path, spec, init_params(spec, seed=3), {"kind": "test"})
 
 
-FORMATS = {"fmx": (write_fmx, load_feature_matrix), "model": (write_model, load_model)}
+FORMATS = {
+    "fmx": (write_fmx, load_feature_matrix),
+    "fmx-compact": (write_compact_fmx, load_feature_matrix),
+    "model": (write_model, load_model),
+}
 
 
 class TestTruncatedArtifacts:

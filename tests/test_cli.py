@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevpred import Dense, Dropout, NetworkSpec, init_params, save_model
+from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, init_params, save_model
 from sevpred.cli import DEFAULTS, main
+from sevpred.preprocess import load_feature_matrix, save_feature_matrix
 from sevpred.rng import derive_seed
 from tests.conftest import make_small_table, strip_meta, write_workspace
 
@@ -157,6 +158,44 @@ class TestPreprocessTrainChain:
         assert err["error"]["type"] == "DataError"
         assert "features.fmx" in err["error"]["message"]
         assert "2222" not in err["error"]["message"]
+
+    # the last code column is the last one-hot block's, and its last row the
+    # blob's last four bytes
+    @pytest.mark.parametrize("edit", [
+        lambda m, blob: (m["blocks"][0].update(width=m["blocks"][0]["width"] + 1), blob),
+        lambda m, blob: (m["blocks"][-1].update(kind="sparse"), blob),
+        lambda m, blob: (m["blocks"][0].update(width=-1), m["blocks"][1].update(width=m["blocks"][1]["width"] + 2),
+                         blob),
+        lambda m, blob: (m, blob[:-4] + np.int32(m["blocks"][-1]["width"]).tobytes()),
+        lambda m, blob: (m, blob[:-4] + np.int32(-2).tobytes()),
+    ], ids=["widths-over-d", "unknown-kind", "negative-width", "code-at-width", "code-below-minus-1"])
+    def test_malformed_compact_fmx_exit_2(self, csv_workspace, capsys, edit):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        fmx = csv_workspace / "out" / "features.fmx"
+        head, blob = fmx.read_bytes().split(b"\n", 1)
+        manifest = json.loads(head)
+        assert manifest["format"] == "sevpred-fmx-2" and manifest["blocks"][-1]["kind"] == "one_hot"
+        blob = edit(manifest, blob)[-1]
+        fmx.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + blob)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "train") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "features.fmx" in err["error"]["message"]
+
+    def test_repeated_selected_column_exit_2(self, csv_workspace, capsys):
+        assert run_cmd(csv_workspace, "associate") == 0
+        path = csv_workspace / "out" / "selection.json"
+        payload = json.loads(path.read_text())
+        payload["selected"] = ["num_0", "cat_0", "num_0"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "preprocess") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "selection.json" in err["error"]["message"] and "'num_0'" in err["error"]["message"]
+        assert not (csv_workspace / "out" / "targets.json").exists()
 
     @pytest.mark.parametrize("corrupt", [lambda b: b[: len(b) // 2], lambda b: b"[]", lambda b: b"{}"],
                              ids=["halved", "not-an-object", "no-fields"])
@@ -543,7 +582,12 @@ class TestGoldenArtifacts:
     The digests were captured from the per-cell ingest and the block-stacking
     assemble that preceded the columnar ingest and the single-buffer
     assemble; a change to any parsed cell, imputed value, selected feature,
-    split or matrix entry fails here."""
+    split or matrix entry fails here.
+
+    "features.fmx" is the digest of the matrix saved densely (rebuilt from
+    the compact file with ``FeatureMatrix(values, labels)``), which pins every
+    matrix entry; "features.fmx compact" pins the bytes ``preprocess``
+    writes."""
 
     DIGESTS = {
         "stats.json": "c4732ec8c884d95ca3288ec9c9195be1698d21eef438611579d6562f88a7a463",
@@ -551,17 +595,23 @@ class TestGoldenArtifacts:
         "targets.json": "f375931663041447450fa6cd55bf018ae757f4360c68e8bee294e5965373937b",
         "association_matrix.csv": "006f10dce91e4e174fa4a853c4c851aa6386f7da48c135688bfe3287eb0db83f",
         "features.fmx": "ac96750f2ed6b301cdba95c098f4282cb7fd98729a8de537f998be38608e70c4",
+        "features.fmx compact": "2836b56e8d5eccc42ec4b9a569d23886cb3906656ee8316e0d6aee4d9cb69061",
         "splits.json": "d438f345f5f0a6bae5ba3745377dd3c782f65f0b2e0bfe62d9ed4c4766fe5dfd",
         "preprocessor.json": "81d726dbaa42cc6d1682aea1d6f0d840bb684de8594903c655999402da1aaf9f",
     }
 
-    def test_stats_associate_preprocess_chain(self, messy_workspace):
+    def test_stats_associate_preprocess_chain(self, messy_workspace, tmp_path):
         for cmd in ("stats", "associate", "preprocess"):
             assert run_cmd(messy_workspace, cmd) == 0, cmd
         out = messy_workspace / "out"
+        compact = load_feature_matrix(out / "features.fmx")
+        save_feature_matrix(tmp_path / "dense.fmx", FeatureMatrix(compact.values, compact.column_labels))
         digests = {}
         for name in self.DIGESTS:
-            data = (out / name).read_bytes()
+            if name == "features.fmx":
+                data = (tmp_path / "dense.fmx").read_bytes()
+            else:
+                data = (out / name.split()[0]).read_bytes()
             if name in ("stats.json", "selection.json", "targets.json"):
                 data = json.dumps(strip_meta(json.loads(data)), sort_keys=True).encode()
             digests[name] = hashlib.sha256(data).hexdigest()

@@ -274,6 +274,112 @@ class TestMemoryBudget:
         assert back.values.flags.writeable
 
 
+def reference_dense(table, codec, standardizer, column_order):
+    """The design matrix built cell by cell: standardized numeric columns
+    (+0.0 for a zero-variance one) and indicator blocks, side by side."""
+    blocks = []
+    for name in column_order:
+        if name in standardizer.moments:
+            mean, std = standardizer.moments[name]
+            column = np.zeros(table.n_rows)
+            if std > 0:
+                column = (table.columns[name] - mean) / std
+            blocks.append(column[:, None])
+        else:
+            cats = codec.categories[name]
+            block = np.zeros((table.n_rows, len(cats)))
+            for r, label in enumerate(table.labels[name][table.columns[name]].tolist()):
+                if label in cats:
+                    block[r, cats.index(label)] = 1.0
+            blocks.append(block)
+    return np.hstack(blocks)
+
+
+def interleaved_table(kinds, cells):
+    """A table whose schema interleaves the columns as ``kinds`` orders them."""
+    schema = SchemaSpec(tuple((f"c{j}", kind) for j, kind in enumerate(kinds)) + (("y", ColumnKind.TARGET),), 2)
+    n = len(cells[0])
+    columns = {f"c{j}": np.asarray(col, dtype=np.float64 if kind == ColumnKind.NUMERIC else object)
+               for j, (kind, col) in enumerate(zip(kinds, cells))}
+    columns["y"] = np.ones(n, dtype=np.int64)
+    return Table(schema, columns, {name: np.zeros(n, dtype=bool) for name in columns}, n)
+
+
+@st.composite
+def fitted_tables(draw):
+    """Column kinds in random interleaved order, a fit table, the rows its
+    encoders are fitted on, a second table of new cells (unseen categories
+    and other values for a zero-variance column) and a column order."""
+    kinds = draw(st.lists(st.sampled_from([ColumnKind.NUMERIC, ColumnKind.CATEGORICAL]), min_size=1, max_size=6))
+    n, n_new = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    tables = []
+    for rows in (n, n_new):
+        cells = []
+        for kind in kinds:
+            if kind == ColumnKind.NUMERIC:
+                cells.append(draw(st.lists(st.sampled_from([-2.5, 0.0, 1.0, 3.25, 1e6]), min_size=rows, max_size=rows)))
+            else:
+                cells.append(draw(st.lists(st.sampled_from("abcde"), min_size=rows, max_size=rows)))
+        tables.append(interleaved_table(kinds, cells))
+    fit_rows = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    order = draw(st.permutations([f"c{j}" for j in range(len(kinds))]))
+    return kinds, tables, fit_rows, order
+
+
+class TestCompactMatchesDense:
+    """``assemble`` keeps one-hot blocks as codes; its dense ``values``, and
+    those of its save/load round trip, are bit-identical to the cell-by-cell
+    reference, on the fitted table and on a new one as ``predict`` sees."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fitted_tables(), zero_variance=st.booleans())
+    def test_values_and_round_trip_bit_identical(self, tmp_path_factory, case, zero_variance):
+        kinds, (table, new_table), fit_rows, order = case
+        numeric = [f"c{j}" for j, kind in enumerate(kinds) if kind == ColumnKind.NUMERIC]
+        categorical = [f"c{j}" for j, kind in enumerate(kinds) if kind == ColumnKind.CATEGORICAL]
+        codec = fit_one_hot(table, categorical, rows=fit_rows)
+        standardizer = fit_standardizer(table, numeric, rows=fit_rows)
+        if zero_variance and numeric:
+            standardizer = Standardizer({**standardizer.moments, numeric[0]: (1.0, 0.0)})
+        path = tmp_path_factory.getbasetemp() / "equivalence.fmx"
+        for t in (table, new_table):
+            fm = assemble(t, codec, standardizer, order)
+            expected = reference_dense(t, codec, standardizer, order)
+            assert fm.codes.shape[1] == len(categorical)
+            assert fm.values.shape == expected.shape
+            assert fm.values.tobytes() == expected.tobytes()
+            save_feature_matrix(path, fm)
+            back = load_feature_matrix(path)
+            # a matrix without one-hot blocks is saved dense: one numeric run
+            assert back.column_labels == fm.column_labels
+            assert back.blocks == (fm.blocks if categorical else (("numeric", fm.d),))
+            assert back.values.tobytes() == expected.tobytes()
+
+
+class TestCompactMemory:
+    """At the paper's shape (2 numeric columns, then one-hot blocks of 2, 800,
+    260 and 150 categories and 13 booleans: d = 1240) assembling and saving
+    hold the numeric block and the codes, never the n x d matrix."""
+
+    def test_assemble_and_save_peak(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 4000
+        cardinalities = [2, 800, 260, 150] + [2] * 13
+        table = table_from(
+            numeric={f"x{j}": rng.normal(size=n) for j in range(2)},
+            categorical={f"c{j}": [f"v{v}" for v in rng.permutation(np.arange(n) % k)]
+                         for j, k in enumerate(cardinalities)},
+        )
+        codec = fit_one_hot(table, [f"c{j}" for j in range(len(cardinalities))])
+        standardizer = fit_standardizer(table, ["x0", "x1"])
+        path = tmp_path / "f.fmx"
+        peak = traced_peak(lambda: save_feature_matrix(path, assemble(table, codec, standardizer)))
+        fm = load_feature_matrix(path)
+        assert fm.d == 1240
+        assert peak < 0.1 * fm.n * fm.d * 8
+        np.testing.assert_array_equal(fm.values, assemble(table, codec, standardizer).values)
+
+
 class TestStratifiedSplit:
     def test_exact_arithmetic_balanced(self):
         targets = np.array([1] * 50 + [2] * 50)
