@@ -90,6 +90,9 @@ DEFAULTS: dict = {
     "predict": {"input": None, "model": None, "use_encoder": False},
 }
 
+# the most quantile bins per numeric column; bin_numeric sizes arrays by it
+MAX_BINS = 100_000
+
 
 class ConfigError(PipelineError):
     """Bad configuration or usage; maps to exit code 1."""
@@ -141,8 +144,9 @@ def validate(settings: dict) -> None:
         raise ConfigError(f"split.ratios must be three positive values summing to 1, got {ratios}")
     if settings["cv"]["folds"] < 2:
         raise ConfigError("cv.folds must be at least 2")
-    if settings["association"]["n_bins"] < 2:
-        raise ConfigError("association.n_bins must be at least 2")
+    n_bins = settings["association"]["n_bins"]
+    if not 2 <= n_bins <= MAX_BINS:
+        raise ConfigError(f"association.n_bins must be in 2..{MAX_BINS}, got {n_bins}")
     base = _built("classifier", lambda: _classifier_config(settings, 0))
     _built("grid", lambda: [replace(base, **cell) for cell in GridSpec(**settings["grid"]).cells()])
     # the widest encoder width stands in for the data's width, which

@@ -12,9 +12,11 @@ as immutable after construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,6 +181,9 @@ def factorize(values) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.fromiter(index, dtype=values.dtype, count=len(index))
 
 
+INGEST_CHUNK = 1024  # CSV rows ingest_csv codes per step
+
+
 def _parse_numeric(text: str) -> float:
     """A numeric cell's value, NaN if it is blank or does not parse."""
     try:
@@ -187,24 +192,30 @@ def _parse_numeric(text: str) -> float:
         return np.nan
 
 
-def _numeric_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.fromiter(map(_parse_numeric, cells), dtype=np.float64, count=len(cells))
-    missing = ~np.isfinite(values)
-    values[missing] = np.nan
-    return values, missing
-
-
-def _parse_target(text: str, cardinality: int, row: int) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
+def _parse_target(text: str, cardinality: int) -> int:
+    """A target cell's label in ``1..cardinality``; 0 if the cell is blank or
+    does not parse (its row is dropped), -1 if it is a number outside that
+    range."""
     try:
-        value = float(text)
+        value = float(text)  # float() strips the same whitespace str.strip() does
     except ValueError:
-        return None
-    if not value.is_integer() or not (1 <= value <= cardinality):
-        raise TargetOutOfRange(row, text, cardinality)
-    return int(value)
+        return 0
+    return int(value) if value.is_integer() and 1 <= value <= cardinality else -1
+
+
+def _csv_chunks(fh, path: str | Path):
+    """The header row of the CSV open as ``fh`` (None if the file is empty),
+    then its data rows in lists of up to INGEST_CHUNK; DataError naming
+    ``path`` where the text is not UTF-8 or the csv module refuses a row."""
+    reader = csv.reader(fh)
+    try:
+        yield next(reader, None)
+        # iter() keeps no reference to the chunk it last returned
+        yield from iter(lambda: list(itertools.islice(reader, INGEST_CHUNK)), [])
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = True) -> Table:
@@ -218,62 +229,82 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     in ``Table.n_dropped``. A parseable target outside ``1..K`` raises
     :class:`TargetOutOfRange` with the row's index among the data lines.
 
+    The header is checked before any row is read, and the rows are read in
+    one pass of INGEST_CHUNK-row chunks, so the first fault in line order is
+    the one raised. Categorical/boolean cells become codes of their raw text
+    as each chunk arrives; only the distinct raw labels are trimmed, at the
+    end, and each distinct target text is parsed once per chunk. Memory is
+    one chunk of cells plus the codes and values.
+
     With ``require_target=False`` the target column may be absent from the
     header; all rows then receive the placeholder label 1 (used by ``predict``
     on unlabeled data).
     """
+    target_name, k = schema.target, schema.target_cardinality
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise EmptyFile(f"{path}: no header row")
-    header = [h.strip() for h in header]
-    positions: dict[str, int] = {}
-    target_name = schema.target
-    for name in schema.names:
-        if name in header:
-            positions[name] = header.index(name)
-        elif name == target_name and not require_target:
-            continue
-        else:
-            raise MissingColumn(name)
-
-    # the target decides which rows are kept, so it is parsed first
-    if target_name in positions:
-        pos = positions[target_name]
-        kept, labels = [], []
-        for i, row in enumerate(rows):
-            if row:
-                label = _parse_target(row[pos] if pos < len(row) else "", schema.target_cardinality, i)
-                if label is not None:
-                    kept.append(row)
-                    labels.append(label)
-        target = np.array(labels, dtype=np.int64)
-    else:
-        kept = [row for row in rows if row]
-        target = np.ones(len(kept), dtype=np.int64)
-    n_dropped = sum(1 for row in rows if row) - len(kept)
-    width = max(positions.values(), default=-1) + 1
-    kept = [row if len(row) >= width else row + [""] * (width - len(row)) for row in kept]
+        chunks = _csv_chunks(fh, path)
+        header = next(chunks)
+        if header is None:
+            raise EmptyFile(f"{path}: no header row")
+        header = [h.strip() for h in header]
+        positions: dict[str, int] = {}
+        for name in schema.names:
+            if name in header:
+                positions[name] = header.index(name)
+            elif name != target_name or require_target:
+                raise MissingColumn(name)
+        width = max(positions.values(), default=-1) + 1
+        tpos = positions.get(target_name)
+        # per categorical/boolean column: raw cell text -> code, in first-appearance order
+        index = {name: defaultdict(itertools.count().__next__) for name, kind in schema.columns
+                 if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)}
+        parts = {name: [np.empty(0, np.float64 if kind == ColumnKind.NUMERIC else np.int64)]
+                 for name, kind in schema.columns}
+        n_lines = n_dropped = 0
+        for rows in chunks:
+            kept = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows if row]
+            columns = list(itertools.islice(zip(*kept), width)) if kept else [()] * width
+            if tpos is None:
+                target = np.ones(len(kept), dtype=np.int64)
+            else:
+                parsed = {text: _parse_target(text, k) for text in dict.fromkeys(columns[tpos])}
+                target = np.fromiter(map(parsed.__getitem__, columns[tpos]), dtype=np.int64, count=len(kept))
+                if (target < 0).any():
+                    j = int(np.flatnonzero(target < 0)[0])
+                    line = [i for i, row in enumerate(rows) if row][j]
+                    raise TargetOutOfRange(n_lines + line, kept[j][tpos].strip(), k)
+                if not target.all():
+                    keep = (target > 0).tolist()
+                    columns = [list(itertools.compress(col, keep)) for col in columns]
+                    n_dropped += keep.count(False)
+                    target = target[target > 0]
+            n_lines += len(rows)
+            for name, kind in schema.columns:
+                if kind == ColumnKind.TARGET:
+                    parts[name].append(target)
+                elif kind == ColumnKind.NUMERIC:
+                    cells = map(_parse_numeric, columns[positions[name]])
+                    parts[name].append(np.fromiter(cells, dtype=np.float64, count=len(target)))
+                else:
+                    cells = map(index[name].__getitem__, columns[positions[name]])
+                    parts[name].append(np.fromiter(cells, dtype=np.int64, count=len(target)))
+            del rows, kept, columns  # this chunk's cells go before the next is read
 
     columns, missing, labels = {}, {}, {}
     for name, kind in schema.columns:
-        if kind == ColumnKind.TARGET:
-            columns[name], missing[name] = target, np.zeros(len(kept), dtype=bool)
-            continue
-        pos = positions[name]
+        values = np.concatenate(parts.pop(name))
         if kind == ColumnKind.NUMERIC:
-            columns[name], missing[name] = _numeric_column([row[pos] for row in kept])
+            missing[name] = ~np.isfinite(values)
+            values[missing[name]] = np.nan
+        elif kind == ColumnKind.TARGET:
+            missing[name] = np.zeros(len(values), dtype=bool)
         else:
-            columns[name], labels[name] = factorize(np.array([row[pos].strip() for row in kept], dtype=object))
-            missing[name] = (labels[name] == "")[columns[name]]
-    return Table(schema, columns, missing, len(kept), n_dropped, labels)
+            # raw labels that trim to one text merge, in first-appearance order
+            merged, labels[name] = factorize(np.array([text.strip() for text in index[name]], dtype=object))
+            values = merged[values]
+            missing[name] = (labels[name] == "")[values]
+        columns[name] = values
+    return Table(schema, columns, missing, len(columns[target_name]), n_dropped, labels)
 
 
 def write_csv(table: Table, path: str | Path) -> None:

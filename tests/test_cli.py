@@ -69,6 +69,18 @@ class TestStats:
         assert "data.csv" in err["error"]["message"]
         assert csv.field_size_limit() == 131072
 
+    def test_header_checked_before_rows(self, csv_workspace, capsys):
+        """A header without a schema column is reported before a row
+        further down that is not UTF-8."""
+        path = csv_workspace / "data.csv"
+        header, rows = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header.replace(b"num_0", b"renamed") + b"\n" + rows * 4 + b"1,k\xff\n")
+        assert len(rows) * 4 > 65536  # far past the first block a text read decodes
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "MissingColumn"
+
 
 class TestAssociate:
     def test_matrix_csv_and_selection(self, csv_workspace):
@@ -468,6 +480,8 @@ class TestConfigPlumbing:
         ["--set", "autoencoder.batch_size=0"],
         ["--set", "autoencoder.learning_rate=-5"],
         ["--set", "association.n_bins=1"],
+        ["--set", "association.n_bins=100001"],
+        ["--set", "association.n_bins=4611686018427387904"],
         ["--config", "list.json"],
         ["--set", "classifier.l2_penalty=NaN"],
         ["--set", "classifier.learning_rate=Infinity"],

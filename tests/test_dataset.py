@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sevpred
+from sevpred import dataset
 from sevpred import (
     ColumnKind,
     SchemaSpec,
@@ -38,6 +40,7 @@ from sevpred.errors import (
     TargetOutOfRange,
 )
 from sevpred.rng import SEEDS
+from tests.conftest import traced_peak
 
 SCHEMA = SchemaSpec(
     columns=(
@@ -258,6 +261,67 @@ class TestIngestProperty:
                 assert cells.tolist() == columns[name]
             assert table.missing[name].dtype == bool
             assert table.missing[name].tolist() == missing[name]
+
+
+# rows that put empty lines, short rows, dropped targets and out-of-range
+# targets at the edges of chunks of 1, 2 and 3 rows
+EDGE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, 4]),
+        st.sampled_from(["", "x", "2", " 3 ", "5"]),
+        st.sampled_from(NUMERIC_CELLS),
+        st.sampled_from(TEXT_CELLS),
+        st.sampled_from(TEXT_CELLS),
+    ),
+    max_size=12,
+)
+
+
+class TestIngestChunkEdges:
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(order=st.permutations(SCHEMA.names), labeled=st.booleans(), rows=EDGE_ROWS)
+    def test_matches_per_cell_reference(self, chunk, order, labeled, rows):
+        """TestIngestProperty's comparison, TargetOutOfRange.row included,
+        with ingest reading the file in chunks of ``chunk`` rows."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "INGEST_CHUNK", chunk)
+            TestIngestProperty.test_matches_per_cell_reference.hypothesis.inner_test(
+                TestIngestProperty(), order, labeled, rows)
+
+
+class TestIngestMemory:
+    """Ingest holds one chunk of cells besides the arrays it returns: on 20k
+    accidents-shaped rows its traced peak stays under 3x the bytes of the
+    table's codes, values and masks, where reading the whole file first
+    peaked near 8x."""
+
+    def test_peak_bounded_by_table_arrays(self, tmp_path):
+        schema = load_schema(Path(sevpred.__file__).parent / "schemas" / "us_accidents.json")
+        rng = np.random.default_rng(12)
+        n = 20_000
+        cells = {}
+        for name, kind in schema.columns:
+            if kind == ColumnKind.TARGET:
+                column = rng.integers(1, 5, n).astype(str)
+            elif kind == ColumnKind.NUMERIC:
+                column = np.char.mod("%.6f", rng.normal(35.0, 5.0, n))
+            elif kind == ColumnKind.CATEGORICAL:
+                column = np.char.mod(f"{name}_%03d", rng.integers(0, 400, n))
+            else:
+                column = np.where(rng.random(n) < 0.05, "True", "False")
+            cells[name] = column.astype(object)
+            if kind != ColumnKind.TARGET:
+                cells[name][rng.random(n) < 0.02] = ""
+        path = tmp_path / "accidents.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(cells))
+            writer.writerows(zip(*cells.values()))
+        table = ingest_csv(path, schema)
+        assert table.n_rows == n
+        nbytes = sum(a.nbytes for a in [*table.columns.values(), *table.missing.values()])
+        assert traced_peak(lambda: ingest_csv(path, schema)) < 3 * nbytes
 
 
 class TestImpute:
