@@ -7,7 +7,8 @@ master seed via labeled derivation, making every report a deterministic
 function of the config; wall-clock metadata lives under a separate "meta"
 key so reports stay byte-comparable.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error (or an input or
+model too large for this machine's memory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -79,15 +80,15 @@ DEFAULTS: dict = {
         "learning_rate": 0.001,
         "use_class_weights": True,
     },
-    "train": {"use_encoder": False},
+    "use_encoder": False,
     "grid": {
         "initial_neurons": [1218, 2436, 3654],
         "initial_dropout": [0.2, 0.3, 0.4],
         "batch_size": [2000, 5000, 10000],
         "l2_penalty": [0.001, 0.0001],
     },
-    "cv": {"folds": 10, "use_encoder": False},
-    "predict": {"input": None, "model": None, "use_encoder": False},
+    "cv": {"folds": 10},
+    "predict": {"model": None},
 }
 
 # the most quantile bins per numeric column; bin_numeric sizes arrays by it
@@ -255,9 +256,9 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_table(settings: dict, *, imputed: bool = True) -> Table:
+def _load_table(settings: dict, *, imputed: bool = True, require_target: bool = True) -> Table:
     csv_path, schema_path = _data_paths(settings)
-    table = ingest_csv(csv_path, load_schema(schema_path))
+    table = ingest_csv(csv_path, load_schema(schema_path), require_target=require_target)
     return impute(table) if imputed else table
 
 
@@ -376,11 +377,7 @@ def stage_train_ae(settings: dict) -> dict:
     splits = _load_splits(work, features.n)
     ae_cfg = settings["autoencoder"]
     cfg = AutoencoderConfig(**ae_cfg, input_dim=features.d, seed=derive_seed(settings["seed"], "train-ae"))
-    params, history = train_autoencoder(
-        cfg,
-        FeatureMatrix(features.values[splits.train], features.column_labels),
-        FeatureMatrix(features.values[splits.val], features.column_labels),
-    )
+    params, history = train_autoencoder(cfg, features.values[splits.train], features.values[splits.val])
     spec = build_autoencoder(cfg)
     meta = {"kind": "autoencoder", "config": dict(ae_cfg), "seed": cfg.seed, "latent_dim": cfg.latent_dim}
     save_model(work / "autoencoder.model", spec, params, meta)
@@ -410,7 +407,7 @@ def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights |
 
 def stage_train(settings: dict) -> dict:
     work = _work_dir(settings)
-    encoded = settings["train"]["use_encoder"]
+    encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(settings, encoded=encoded)
     splits = _load_splits(work, features.n)
@@ -490,7 +487,7 @@ def _cv_runner(settings: dict, k: int):
 
 def stage_cv(settings: dict) -> dict:
     work = _work_dir(settings)
-    encoded = settings["cv"]["use_encoder"]
+    encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(settings, encoded=encoded)
     result = cross_validate(
@@ -518,26 +515,17 @@ def stage_cv(settings: dict) -> dict:
 
 def stage_predict(settings: dict) -> dict:
     work = _work_dir(settings)
-    p = settings["predict"]
-    input_path = p["input"] or settings["data"]["csv"]
-    if not input_path or not Path(input_path).exists():
-        raise ConfigError(f"predict.input path does not exist: {input_path}")
-    schema_path = settings["data"]["schema"]
-    if not schema_path or not Path(schema_path).exists():
-        raise ConfigError("data.schema must be set for predict")
-    schema = load_schema(schema_path)
-    table = impute(ingest_csv(input_path, schema, require_target=False))
+    encoded = settings["use_encoder"]
+    suffix = "_encoded" if encoded else ""
+    table = _load_table(settings, require_target=False)
     codec, standardizer, column_order = load_preprocessor(
         _require(work / "preprocessor.json", "sevpred preprocess")
     )
     features = assemble(table, codec, standardizer, column_order)
-    if p["use_encoder"]:
+    if encoded:
         ae_spec, ae_params, _ = load_model(_require(work / "autoencoder.model", "sevpred train-ae"))
         features = encode(ae_spec, ae_params, features)
-        default_model = work / "classifier_encoded.model"
-    else:
-        default_model = work / "classifier.model"
-    model_path = Path(p["model"]) if p["model"] else default_model
+    model_path = Path(settings["predict"]["model"] or work / f"classifier{suffix}.model")
     spec, params, _ = load_model(_require(model_path, "sevpred train"))
     preds = predict(params, spec, features)
     _write_csv_rows(
@@ -561,8 +549,8 @@ def stage_pipeline(settings: dict) -> dict:
     stage_encode(settings)
 
     for encoded in (False, True):
-        stage_train(_deep_merge(settings, {"train": {"use_encoder": encoded}}))
-    cv_raw, cv_enc = [stage_cv(_deep_merge(settings, {"cv": {"use_encoder": e}})) for e in (False, True)]
+        stage_train({**settings, "use_encoder": encoded})
+    cv_raw, cv_enc = [stage_cv({**settings, "use_encoder": e}) for e in (False, True)]
 
     def row(name: str, report: dict) -> dict:
         return {
@@ -634,10 +622,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _emit_error(stage_name, exc)
         return 3
-    except PipelineError as exc:
-        _emit_error(stage_name, exc)
-        return 2
-    except OSError as exc:
+    except (PipelineError, OSError, MemoryError) as exc:  # MemoryError: too large for this machine
         _emit_error(stage_name, exc)
         return 2
 

@@ -32,6 +32,10 @@ from .neural import (
 from .preprocess import FeatureMatrix
 from .rng import derive_seed, make_rng
 
+# the widest hidden layer a config may ask for, far above the paper's 3654,
+# so that validate rejects a huge width before anything is allocated
+MAX_WIDTH = 100_000
+
 
 @dataclass(frozen=True)
 class ClassWeights:
@@ -94,8 +98,8 @@ class AutoencoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
-        if not self.encoder_widths or min(self.encoder_widths) < 1:
-            raise DataError("encoder_widths must be non-empty positive widths")
+        if not self.encoder_widths or not all(1 <= w <= MAX_WIDTH for w in self.encoder_widths):
+            raise DataError(f"encoder_widths must be non-empty widths in 1..{MAX_WIDTH}")
         if self.latent_dim > self.input_dim:
             raise DataError("latent dimension cannot exceed the input width")
         if self.epochs < 1 or self.batch_size < 1:
@@ -231,8 +235,8 @@ class ClassifierConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.initial_neurons < 4:
-            raise DataError("initial_neurons too small for a halving pyramid")
+        if not 4 <= self.initial_neurons <= MAX_WIDTH:
+            raise DataError(f"initial_neurons must be in 4..{MAX_WIDTH} for a halving pyramid")
         if not (0.0 <= self.initial_dropout < 1.0):
             raise DataError("initial_dropout must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:

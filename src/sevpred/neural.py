@@ -123,9 +123,6 @@ class Parameters:
         views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
         self.weights, self.biases = views[0::2], views[1::2]
 
-    def arrays(self) -> list[np.ndarray]:
-        return [a for pair in zip(self.weights, self.biases) for a in pair]
-
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> Parameters:
     """He-uniform for relu layers (limit sqrt(6/fan_in)), Glorot-uniform

@@ -81,6 +81,17 @@ class TestStats:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "MissingColumn"
 
+    def test_memory_error_exit_2(self, csv_workspace, capsys, monkeypatch):
+        """An input or model too large for the machine ends in a JSON error."""
+        def out_of_memory(table):
+            raise MemoryError("Unable to allocate 40.0 GiB")
+
+        monkeypatch.setattr("sevpred.cli.summarize", out_of_memory)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == {"type": "MemoryError", "message": "Unable to allocate 40.0 GiB", "stage": "stats"}
+
 
 class TestAssociate:
     def test_matrix_csv_and_selection(self, csv_workspace):
@@ -375,7 +386,7 @@ class TestPredict:
         )
         unlabeled = tmp_path / "new_data.csv"
         unlabeled.write_text(stripped + "\n")
-        code = run_cmd(csv_workspace, "predict", "--set", f"predict.input={unlabeled}")
+        code = run_cmd(csv_workspace, "predict", "--set", f"data.csv={unlabeled}")
         assert code == 0
         rows = (csv_workspace / "out" / "predictions.csv").read_text().splitlines()[1:]
         assert len(rows) == 400
@@ -394,6 +405,21 @@ class TestPipeline:
         models = [row["model"] for row in report1["comparison"]]
         assert models == ["encoder+dnn", "dnn"]
 
+    def test_use_encoder_runs_the_pipeline_variant(self, csv_workspace):
+        """One use_encoder switch picks the latent input for train, cv and
+        predict; the stages run one by one write what pipeline writes."""
+        for cmd in ("associate", "preprocess", "train-ae", "encode"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        for cmd in ("train", "cv", "predict"):
+            assert run_cmd(csv_workspace, cmd, "--set", "use_encoder=true") == 0, cmd
+        golden = TestGoldenTrainingArtifacts
+        root, out = str(csv_workspace), csv_workspace / "out"
+        for name in (n for n in golden.WRITES["pipeline"] if "_encoded" in n):
+            digest = golden._digest((out / name).read_bytes(), name.endswith(".json"), root)
+            assert digest == golden.DIGESTS[f"pipeline:{name}"], name
+        rows = (out / "predictions.csv").read_text().splitlines()[1:]
+        assert len(rows) == 400
+
     def test_no_class_weights_flag(self, csv_workspace):
         for cmd in ("associate", "preprocess"):
             assert run_cmd(csv_workspace, cmd) == 0
@@ -409,7 +435,7 @@ class TestConfigPlumbing:
             csv_workspace, "stats",
             "--set", "association.threshold=0.9",
             "--set", "split.ratios=[0.5,0.25,0.25]",
-            "--set", "train.use_encoder=true",
+            "--set", "use_encoder=true",
         ) == 0
         assert DEFAULTS == snapshot
 
@@ -445,6 +471,8 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("expr", [
         'cv.folds="x"', "cv.folds=2.5", "classifier.use_class_weights=1",
         "association=3", 'grid.initial_neurons=["a"]', "classifer.epochs=3",
+        "train.use_encoder=true", "cv.use_encoder=true", "predict.use_encoder=true",
+        "predict.input=x.csv",
     ])
     def test_set_of_wrong_type_or_unknown_key_exits_1(self, csv_workspace, capsys, expr):
         capsys.readouterr()
@@ -482,6 +510,12 @@ class TestConfigPlumbing:
         ["--set", "association.n_bins=1"],
         ["--set", "association.n_bins=100001"],
         ["--set", "association.n_bins=4611686018427387904"],
+        ["--set", "classifier.initial_neurons=4611686018427387904"],
+        ["--set", "classifier.initial_neurons=100001"],
+        ["--set", "autoencoder.encoder_widths=[4611686018427387904,4]"],
+        ["--set", "autoencoder.encoder_widths=[100001,4]"],
+        ["--set", "grid.initial_neurons=[4611686018427387904]"],
+        ["--set", "grid.initial_neurons=[100001]"],
         ["--config", "list.json"],
         ["--set", "classifier.l2_penalty=NaN"],
         ["--set", "classifier.learning_rate=Infinity"],

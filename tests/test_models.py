@@ -239,8 +239,7 @@ class TestTrainClassifier:
         p1, h1 = train_classifier(cfg_on, x[:400], y[:400], x[400:], y[400:], ones, n_classes=2)
         p2, h2 = train_classifier(cfg_off, x[:400], y[:400], x[400:], y[400:], ones, n_classes=2)
         assert h1 == h2
-        for a, b in zip(p1.arrays(), p2.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_deterministic_trajectory(self):
         x, y = separable_data(seed=8)
@@ -249,8 +248,7 @@ class TestTrainClassifier:
         p1, h1 = train_classifier(cfg, x[:400], y[:400], x[400:], y[400:], n_classes=2)
         p2, h2 = train_classifier(cfg, x[:400], y[:400], x[400:], y[400:], n_classes=2)
         assert h1 == h2
-        for a, b in zip(p1.arrays(), p2.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_label_out_of_range(self):
         x, y = separable_data(seed=9)

@@ -296,20 +296,20 @@ class TestGradientCheck:
         grads = backward(spec, params, cache, "weighted_ce", y)
 
         # recompute the checker's comparison with a corrupted analytic gradient
-        corrupted = [g * 1.01 for g in grads.arrays()]
-        arrays = params.arrays()
+        # at the middle entry of each weight matrix and bias vector
+        corrupted = grads.flat * 1.01
         worst = 0.0
         h = 1e-5
-        for arr_idx, arr in enumerate(arrays):
-            flat = arr.size // 2
-            original = arr.flat[flat]
-            arr.flat[flat] = original + h
+        for start, stop, _ in params.layout:
+            i = start + (stop - start) // 2
+            original = params.flat[i]
+            params.flat[i] = original + h
             plus = total_loss(spec, params, x, "weighted_ce", y, dropout_seed=9)
-            arr.flat[flat] = original - h
+            params.flat[i] = original - h
             minus = total_loss(spec, params, x, "weighted_ce", y, dropout_seed=9)
-            arr.flat[flat] = original
+            params.flat[i] = original
             numeric = (plus - minus) / (2 * h)
-            bad = corrupted[arr_idx].flat[flat]
+            bad = corrupted[i]
             worst = max(worst, abs(bad - numeric) / max(abs(bad), abs(numeric), 1e-8))
         assert worst > 1e-3
 
@@ -466,9 +466,8 @@ class TestFlatParameters:
 
 
 def _digest(params, history) -> str:
-    h = hashlib.sha256()
-    for a in params.arrays():
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # the bytes of every weight matrix and bias vector in order
+    h = hashlib.sha256(np.asarray(params.flat, dtype="<f8").tobytes())
     h.update(json.dumps(history, sort_keys=True).encode())
     return h.hexdigest()
 
