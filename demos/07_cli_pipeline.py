@@ -1,9 +1,9 @@
 """Driving the full pipeline through the command-line interface.
 
 Creates a synthetic accident CSV plus schema and config files, then runs the
-whole chain (associate -> preprocess -> train-ae -> encode -> train x2 ->
-cv x2) with one `pipeline` invocation and prints the resulting two-row model
-comparison. Also scores the CSV with `predict`.
+whole chain (associate -> preprocess -> train-ae, which also writes the
+latent code -> train x2 -> cv x2) with one `pipeline` invocation and prints
+the resulting two-row model comparison. Also scores the CSV with `predict`.
 
 Run: python demos/07_cli_pipeline.py
 """

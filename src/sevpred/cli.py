@@ -59,34 +59,24 @@ from .preprocess import (
 )
 from .rng import SEEDS, derive_seed
 
+
+def _settable(config, *skip: str) -> dict:
+    """A library config's defaults as settings, tuples as lists; the seed
+    derives from the master seed, so it is not one of them."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(config) if f.name not in ("seed", *skip)}
+
+
 DEFAULTS: dict = {
     "data": {"csv": None, "schema": None},
     "work_dir": "sevpred_out",
     "seed": 7,
     "association": {"n_bins": 10, "threshold": 0.2, "bias_corrected": False},
     "split": {"ratios": [0.6, 0.2, 0.2]},
-    "autoencoder": {
-        "encoder_widths": [512, 256],
-        "epochs": 200,
-        "batch_size": 1000,
-        "learning_rate": 0.001,
-    },
-    "classifier": {
-        "initial_neurons": 1218,
-        "initial_dropout": 0.3,
-        "batch_size": 5000,
-        "l2_penalty": 0.0001,
-        "epochs": 50,
-        "learning_rate": 0.001,
-        "use_class_weights": True,
-    },
+    "autoencoder": _settable(AutoencoderConfig, "input_dim", "hidden_activation"),
+    "classifier": _settable(ClassifierConfig),
     "use_encoder": False,
-    "grid": {
-        "initial_neurons": [1218, 2436, 3654],
-        "initial_dropout": [0.2, 0.3, 0.4],
-        "batch_size": [2000, 5000, 10000],
-        "l2_penalty": [0.001, 0.0001],
-    },
+    "grid": _settable(GridSpec),
     "cv": {"folds": 10},
     "predict": {"model": None},
 }
@@ -348,7 +338,7 @@ def stage_preprocess(settings: dict) -> dict:
 def _load_features(settings: dict, *, encoded: bool) -> tuple[FeatureMatrix, np.ndarray, int]:
     work = _work_dir(settings)
     name = "latent.fmx" if encoded else "features.fmx"
-    hint = "sevpred encode" if encoded else "sevpred preprocess"
+    hint = "sevpred train-ae" if encoded else "sevpred preprocess"
     features = load_feature_matrix(_require(work / name, hint))
     targets_path = _require(work / "targets.json", "sevpred preprocess")
     targets = load_json_artifact(
@@ -381,18 +371,11 @@ def stage_train_ae(settings: dict) -> dict:
     spec = build_autoencoder(cfg)
     meta = {"kind": "autoencoder", "config": dict(ae_cfg), "seed": cfg.seed, "latent_dim": cfg.latent_dim}
     save_model(work / "autoencoder.model", spec, params, meta)
+    # the code comes from the autoencoder just saved, so the two never disagree
+    save_feature_matrix(work / "latent.fmx", encode(spec, params, features))
     payload = {"history": history, "config": dict(ae_cfg), "seed": cfg.seed, "meta": _meta("train-ae")}
     _write_json(work / "ae_history.json", payload)
     return payload
-
-
-def stage_encode(settings: dict) -> dict:
-    work = _work_dir(settings)
-    features, _, _ = _load_features(settings, encoded=False)
-    spec, params, _ = load_model(_require(work / "autoencoder.model", "sevpred train-ae"))
-    latent = encode(spec, params, features)
-    save_feature_matrix(work / "latent.fmx", latent)
-    return {"n": latent.n, "latent_dim": latent.d, "meta": _meta("encode")}
 
 
 def _classifier_config(settings: dict, seed: int) -> ClassifierConfig:
@@ -527,6 +510,9 @@ def stage_predict(settings: dict) -> dict:
         features = encode(ae_spec, ae_params, features)
     model_path = Path(settings["predict"]["model"] or work / f"classifier{suffix}.model")
     spec, params, _ = load_model(_require(model_path, "sevpred train"))
+    last, k = spec.layers[-1], table.schema.target_cardinality
+    if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
+        raise DataError(f"{model_path}: not a {k}-class classifier (a {k}-way softmax last layer)")
     preds = predict(params, spec, features)
     _write_csv_rows(
         work / "predictions.csv", ["row", "severity_pred"],
@@ -541,12 +527,12 @@ def stage_predict(settings: dict) -> dict:
 
 
 def stage_pipeline(settings: dict) -> dict:
-    """Full chain: associate -> preprocess -> train-ae -> encode ->
-    train x2 variants -> cv x2 variants, ending in a two-row comparison."""
+    """Full chain: associate -> preprocess -> train-ae (which writes the
+    latent code) -> train x2 variants -> cv x2 variants, ending in a two-row
+    comparison."""
     stage_associate(settings)
     stage_preprocess(settings)
     stage_train_ae(settings)
-    stage_encode(settings)
 
     for encoded in (False, True):
         stage_train({**settings, "use_encoder": encoded})
@@ -575,7 +561,6 @@ STAGES = {
     "associate": stage_associate,
     "preprocess": stage_preprocess,
     "train-ae": stage_train_ae,
-    "encode": stage_encode,
     "train": stage_train,
     "grid": stage_grid,
     "cv": stage_cv,

@@ -237,8 +237,8 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     one chunk of cells plus the codes and values.
 
     With ``require_target=False`` the target column may be absent from the
-    header; all rows then receive the placeholder label 1 (used by ``predict``
-    on unlabeled data).
+    header and is never read when present: every data line is kept
+    (``n_dropped`` is 0) with the placeholder label 1, as ``predict`` needs.
     """
     target_name, k = schema.target, schema.target_cardinality
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -254,7 +254,7 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
             elif name != target_name or require_target:
                 raise MissingColumn(name)
         width = max(positions.values(), default=-1) + 1
-        tpos = positions.get(target_name)
+        tpos = positions.get(target_name) if require_target else None
         # per categorical/boolean column: raw cell text -> code, in first-appearance order
         index = {name: defaultdict(itertools.count().__next__) for name, kind in schema.columns
                  if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)}

@@ -230,9 +230,9 @@ class ClassifierConfig:
     batch_size: int = 5000
     l2_penalty: float = 0.0001
     epochs: int = 50
+    learning_rate: float = 1e-3
     use_class_weights: bool = True
     seed: int = 0
-    learning_rate: float = 1e-3
 
     def __post_init__(self):
         if not 4 <= self.initial_neurons <= MAX_WIDTH:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, init_params, save_model
+from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, encode, init_params, load_model, save_model
 from sevpred.cli import DEFAULTS, main
 from sevpred.preprocess import load_feature_matrix, save_feature_matrix
 from sevpred.rng import derive_seed
@@ -124,7 +124,7 @@ class TestAssociate:
 
 class TestPreprocessTrainChain:
     def test_full_chain_artifacts(self, csv_workspace):
-        for cmd in ("associate", "preprocess", "train-ae", "encode", "train"):
+        for cmd in ("associate", "preprocess", "train-ae", "train"):
             assert run_cmd(csv_workspace, cmd) == 0, cmd
         out = csv_workspace / "out"
         for name in ("features.fmx", "splits.json", "preprocessor.json", "targets.json",
@@ -136,6 +136,24 @@ class TestPreprocessTrainChain:
 
         latent = load_feature_matrix(out / "latent.fmx")
         assert latent.d == 4  # configured latent width
+
+    def test_train_ae_rewrites_the_latent_code(self, csv_workspace, tmp_path):
+        """A second train-ae leaves the code of the autoencoder it saved,
+        not the first run's."""
+        for cmd in ("associate", "preprocess", "train-ae"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        out = csv_workspace / "out"
+        first = (out / "latent.fmx").read_bytes()
+        assert run_cmd(csv_workspace, "train-ae", "--seed", "99") == 0
+        spec, params, _ = load_model(out / "autoencoder.model")
+        save_feature_matrix(tmp_path / "latent.fmx", encode(spec, params, load_feature_matrix(out / "features.fmx")))
+        assert (out / "latent.fmx").read_bytes() == (tmp_path / "latent.fmx").read_bytes() != first
+
+    def test_encode_stage_is_gone(self, csv_workspace, capsys):
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "encode") == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "UsageError" and "'encode'" in err["error"]["message"]
 
     def test_preprocess_prints_summary_without_labels(self, csv_workspace, capsys):
         assert run_cmd(csv_workspace, "associate") == 0
@@ -391,6 +409,35 @@ class TestPredict:
         rows = (csv_workspace / "out" / "predictions.csv").read_text().splitlines()[1:]
         assert len(rows) == 400
 
+    def test_target_column_is_ignored(self, csv_workspace, tmp_path):
+        """Blank, unparseable and out-of-range targets neither drop a line
+        nor stop predict: the predictions equal those without the column."""
+        for cmd in ("associate", "preprocess", "train"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        with open(csv_workspace / "data.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))[:11]
+        t = header.index("severity")
+        for i, text in ((1, ""), (4, "n/a"), (7, "9")):
+            rows[i][t] = text
+        predictions = []
+        for name, keep in (("labeled.csv", header), ("unlabeled.csv", [n for n in header if n != "severity"])):
+            with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([[row[header.index(n)] for n in keep] for row in [header, *rows]])
+            assert run_cmd(csv_workspace, "predict", "--set", f"data.csv={tmp_path / name}") == 0, name
+            predictions.append((csv_workspace / "out" / "predictions.csv").read_text())
+        assert len(predictions[0].splitlines()) == 11
+        assert predictions[0] == predictions[1]
+
+    def test_model_must_be_a_k_class_classifier(self, csv_workspace, capsys):
+        for cmd in ("associate", "preprocess", "train-ae"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        model = csv_workspace / "out" / "autoencoder.model"
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={model}") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError" and str(model) in err["error"]["message"]
+        assert not (csv_workspace / "out" / "predictions.csv").exists()
+
 
 class TestPipeline:
     def test_pipeline_and_idempotence(self, csv_workspace):
@@ -408,7 +455,7 @@ class TestPipeline:
     def test_use_encoder_runs_the_pipeline_variant(self, csv_workspace):
         """One use_encoder switch picks the latent input for train, cv and
         predict; the stages run one by one write what pipeline writes."""
-        for cmd in ("associate", "preprocess", "train-ae", "encode"):
+        for cmd in ("associate", "preprocess", "train-ae"):
             assert run_cmd(csv_workspace, cmd) == 0, cmd
         for cmd in ("train", "cv", "predict"):
             assert run_cmd(csv_workspace, cmd, "--set", "use_encoder=true") == 0, cmd
@@ -692,8 +739,7 @@ class TestGoldenTrainingArtifacts:
     seed labels or grid cells fails here."""
 
     WRITES = {
-        "train-ae": ("autoencoder.model", "ae_history.json"),
-        "encode": ("latent.fmx",),
+        "train-ae": ("autoencoder.model", "ae_history.json", "latent.fmx"),
         "train": ("classifier.model", "history.json", "test_metrics.json"),
         "grid": ("grid_report.json", "grid_report.csv"),
         "cv": ("cv_report.json", "cv_report.csv"),
@@ -705,8 +751,6 @@ class TestGoldenTrainingArtifacts:
         "cv:cv_report.csv": "e3b87d7fb64ee71e95b8f2640f2117497246bb31c0efd2f0df6ec07ac4f64002",
         "cv:cv_report.json": "707396a2e118596f8f28f747152bf9d4616080d7c932bbcc2223206926c71a73",
         "cv:stdout": "707396a2e118596f8f28f747152bf9d4616080d7c932bbcc2223206926c71a73",
-        "encode:latent.fmx": "9edde41aa86a77a3074b835e1d045ea7b7dbf925d099a976e12cc3bb81745288",
-        "encode:stdout": "12256566ac382eea461c2372beb8fcfecaf90f9cc312dc64134ad80c7ca1905f",
         "grid:grid_report.csv": "2ea0e4b83e7b0213b411bae274420289a703b5e2e63f9e7cac58def67ac1210b",
         "grid:grid_report.json": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
         "grid:stdout": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
@@ -721,6 +765,7 @@ class TestGoldenTrainingArtifacts:
         "predict:stdout": "3983763ab7e6cf3dd69ece13ac0d19bbccdae622abcda1e1ea7785b4b24083cd",
         "train-ae:ae_history.json": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
         "train-ae:autoencoder.model": "e06c169586f4a21fd0062d5ae224dd3a8e50117e61744f0a2c3aadbce8c1423f",
+        "train-ae:latent.fmx": "9edde41aa86a77a3074b835e1d045ea7b7dbf925d099a976e12cc3bb81745288",
         "train-ae:stdout": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
         "train:classifier.model": "acec892277ec5c37eadbd08a2b7cfc570cd995dab920a96ae4592a519f04938a",
         "train:history.json": "e67e0fb3df568b7b0e65f0a8b08e2516362d0c966eaa057f8e8707f730191f33",
@@ -808,15 +853,16 @@ class TestSetTypeProperty:
         assert DEFAULTS == snapshot
 
 
-# each artifact kind and a stage that reads it
+# each artifact kind and a stage that reads it; predict loads the
+# autoencoder before the classifier, which this workspace lacks
 TRUNCATED_READS = {
-    "features.fmx": "train",
-    "classifier.model": "predict",
-    "autoencoder.model": "encode",
-    "selection.json": "preprocess",
-    "splits.json": "train",
-    "targets.json": "train",
-    "preprocessor.json": "predict",
+    "features.fmx": ("train",),
+    "classifier.model": ("predict",),
+    "autoencoder.model": ("predict", "--set", "use_encoder=true"),
+    "selection.json": ("preprocess",),
+    "splits.json": ("train",),
+    "targets.json": ("train",),
+    "preprocessor.json": ("predict",),
 }
 
 
@@ -847,7 +893,7 @@ class TestTruncationProperty:
         try:
             path.write_bytes(whole[:offset])
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cmd(trained_workspace, TRUNCATED_READS[name])
+                code = run_cmd(trained_workspace, *TRUNCATED_READS[name])
         finally:
             path.write_bytes(whole)
         assert code == 2

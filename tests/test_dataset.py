@@ -149,6 +149,14 @@ class TestIngest:
         assert table.n_rows == 1
         assert table.target.tolist() == [1]
 
+    def test_target_optional_mode_ignores_present_target(self, tmp_path):
+        path = write(tmp_path, "Temperature,City,Signal,Severity\n70,Austin,true,\n"
+                     "71,Dallas,false,n/a\n72,Austin,true,9\n73,Waco,true,2\n")
+        table = ingest_csv(path, SCHEMA, require_target=False)
+        assert (table.n_rows, table.n_dropped) == (4, 0)
+        assert table.target.tolist() == [1, 1, 1, 1]
+        assert table.columns["Temperature"].tolist() == [70, 71, 72, 73]
+
     def test_round_trip_through_write_csv(self, tmp_path, small_table):
         imputed = impute(small_table)
         path = tmp_path / "round.csv"
@@ -169,7 +177,7 @@ def reference_ingest(path, schema, require_target=True):
         header, *rows = csv.reader(fh)
     header = [h.strip() for h in header]
     target, k = schema.target, schema.target_cardinality
-    labeled = target in header or require_target
+    labeled = require_target
     columns = {name: [] for name in schema.names}
     missing = {name: [] for name in schema.names}
     n_dropped = 0
