@@ -315,6 +315,9 @@ def stage_preprocess(settings: dict) -> dict:
     column_order = [n for n in table.schema.names if n in set(selected)]
     features = assemble(table, codec, standardizer, column_order)
 
+    # every model and the latent code were fit on the old split and scaling
+    for stale in ("autoencoder.model", "latent.fmx", "classifier.model", "classifier_encoded.model"):
+        (work / stale).unlink(missing_ok=True)
     save_feature_matrix(work / "features.fmx", features)
     save_splits(work / "splits.json", splits)
     save_preprocessor(work / "preprocessor.json", codec, standardizer, column_order)

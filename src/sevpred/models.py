@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LabelOutOfRange, MissingClass, WidthMismatch
+from .errors import DataError, LabelOutOfRange, MissingClass, NonFiniteActivation, WidthMismatch
 from .evaluation import confusion, accuracy, ber
 from .neural import (
     Dense,
@@ -137,7 +137,8 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
 
     ``targets`` is the label vector for classifiers or None for autoencoders
     (whose target is the batch itself). ``on_epoch(epoch, train_loss)`` runs
-    after each epoch.
+    after each epoch. A ``NonFiniteActivation`` names its epoch and its batch
+    or the epoch's validation pass.
     """
     n = x.shape[0]
     state = init_optimizer(params, learning_rate)
@@ -149,10 +150,13 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
             idx = perm[start:start + batch_size]
             xb = x[idx]
             tb = xb if targets is None else targets[idx]
-            out, cache = forward(
-                spec, params, xb, mode="train",
-                dropout_seed=derive_seed(seed, f"dropout:{epoch}:{b}"),
-            )
+            try:
+                out, cache = forward(
+                    spec, params, xb, mode="train",
+                    dropout_seed=derive_seed(seed, f"dropout:{epoch}:{b}"),
+                )
+            except NonFiniteActivation as exc:
+                raise NonFiniteActivation(f"{exc} in epoch {epoch}, batch {b}") from None
             if loss_kind == "weighted_ce":
                 data_loss = loss_weighted_ce(out, tb, weights)
             else:
@@ -160,7 +164,10 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
             batch_losses.append(data_loss + l2_term(spec, params))
             grads = backward(spec, params, cache, loss_kind, tb, weights)
             adam_step(params, grads, state)
-        on_epoch(epoch, float(np.mean(batch_losses)))
+        try:
+            on_epoch(epoch, float(np.mean(batch_losses)))
+        except NonFiniteActivation as exc:
+            raise NonFiniteActivation(f"{exc} in epoch {epoch}, validation") from None
 
 
 def train_autoencoder(

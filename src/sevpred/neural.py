@@ -8,6 +8,9 @@ make gradient checks meaningful. Weights and biases live in one flat buffer,
 ``Parameters.flat``, with per-layer views; gradients, the optimizer's moments
 and a model file's blob share its layout. The optimizer updates that buffer
 and its moments in place, so a trainer that keeps a checkpoint copies it.
+``backward`` consumes its forward cache: it writes each carried gradient into
+the activation buffer that it is the gradient of, so a training step's
+working set is the forward pass's activations.
 
 Class labels are 1-based (severity 1..K) everywhere in the public API.
 """
@@ -148,10 +151,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardCache:
     """Everything backward needs, one record per layer of a train-mode pass:
-    a dense layer's ``(input, output)`` (relu backward uses ``output > 0``),
-    a dropout layer's ``(keep, scale)``, the bool mask actually drawn and
-    1/(1-rate), or ``(None, None)`` when the rate is 0. Infer mode records
-    nothing."""
+    a dense layer's ``(input, output)``, a dropout layer's ``(keep, scale)``,
+    the bool mask actually drawn and 1/(1-rate), or ``(None, None)`` when the
+    rate is 0. Infer mode records nothing. A dense layer's output buffer is
+    the next dense layer's input (dropout scales it in place), or ``output``
+    for the last one; backward reads its relu mask ``> 0`` and then writes
+    the gradient with respect to it there. So one cache serves one
+    ``backward``, which pops the records."""
 
     mode: str
     records: list = field(default_factory=list)
@@ -168,7 +174,8 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network; in train mode dropout uses inverted scaling so
     inference is a pure matrix pipeline. Each layer works in place on arrays
-    this call allocates; the caller's batch is never written."""
+    this call allocates, which a train-mode cache hands to ``backward`` to
+    overwrite; the caller's batch is never written."""
     if mode not in ("train", "infer"):
         raise DataError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(batch, dtype=np.float64)
@@ -260,18 +267,25 @@ def backward(
     """Exact gradients of (data loss + L2 term) for every weight and bias.
 
     The softmax + weighted-cross-entropy gradient is fused at the output:
-    (probs - onehot(y)) scaled per row by w[y]/n. Dropout and relu masks are
-    applied in place to the carried gradient, which this call owns. The pass
-    stops at the first dense layer: nothing reads the gradient with respect
-    to the input batch.
+    (probs - onehot(y)) scaled per row by w[y]/n. The call consumes ``cache``:
+    it pops each record as it passes that layer, writes the loss gradient over
+    ``cache.output`` and each carried gradient into the activation buffer it
+    is the gradient of (a relu mask is read before its buffer is written), so
+    one cache serves one backward and a second raises ``CacheMismatch``.
+    Dropout and relu masks are applied in place to the carried gradient. The
+    pass stops at the first dense layer, whose input is the caller's batch
+    and is never written: nothing reads the gradient with respect to it.
     """
     if cache.mode != "train":
         raise CacheMismatch("backward needs a cache from a train-mode forward pass")
     if len(cache.records) != len(spec.layers):
-        raise CacheMismatch("cache does not match the network spec")
+        raise CacheMismatch("cache does not match the network spec, or an earlier backward consumed it")
     dense = spec.dense_layers()
     n = cache.n
     final = dense[-1]
+    carry = cache.output  # becomes the final pre-activation gradient
+    # taken before the loss gradient overwrites the output it is read from
+    mask = carry > 0 if final.activation == "relu" else None
 
     if loss_kind == "weighted_ce":
         if final.activation != "softmax":
@@ -281,31 +295,33 @@ def backward(
         if ((labels < 1) | (labels > k)).any():
             raise LabelOutOfRange(f"labels must lie in 1..{k}")
         w = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
-        carry = cache.output.copy()  # becomes the final pre-activation gradient
         carry[np.arange(n), labels - 1] -= 1.0
         carry *= (w[labels - 1] / n)[:, None]
     elif loss_kind == "mse":
         if final.activation == "softmax":
             raise CacheMismatch("mse over a softmax output is not supported")
         target = np.asarray(labels_or_target, dtype=np.float64)
-        if target.shape != cache.output.shape:
+        if target.shape != carry.shape:
             raise ShapeMismatch("mse target shape differs from network output")
-        carry = 2.0 * (cache.output - target) / cache.output.size
+        np.subtract(carry, target, out=carry)
+        carry *= 2.0
+        carry /= carry.size
     else:
         raise DataError(f"unknown loss kind {loss_kind!r}")
 
     grads = Parameters.wrap(np.zeros(params.flat.size), params.layout)
     dense_idx = len(dense) - 1
-    for layer, record in zip(reversed(spec.layers), reversed(cache.records)):
+    for layer in reversed(spec.layers):
+        record = cache.records.pop()
         if isinstance(layer, Dropout):
             keep, scale = record
             if keep is not None:
                 carry *= keep
                 carry *= scale
             continue
-        x_in, out = record
-        if layer.activation == "relu":
-            carry *= out > 0
+        x_in, _ = record
+        if mask is not None:
+            carry *= mask
         # a softmax layer is final and fused above; linear passes carry through
         gw, gb = grads.weights[dense_idx], grads.biases[dense_idx]
         np.matmul(x_in.T, carry, out=gw)
@@ -313,8 +329,11 @@ def backward(
         carry.sum(axis=0, out=gb)
         if dense_idx == 0:
             break
-        carry = carry @ params.weights[dense_idx].T
         dense_idx -= 1
+        # x_in is the previous dense layer's (post-dropout) output: read its
+        # relu mask, then overwrite it with the gradient with respect to it
+        mask = x_in > 0 if dense[dense_idx].activation == "relu" else None
+        carry = np.matmul(carry, params.weights[dense_idx + 1].T, out=x_in)
     return grads
 
 

@@ -149,6 +149,26 @@ class TestPreprocessTrainChain:
         save_feature_matrix(tmp_path / "latent.fmx", encode(spec, params, load_feature_matrix(out / "features.fmx")))
         assert (out / "latent.fmx").read_bytes() == (tmp_path / "latent.fmx").read_bytes() != first
 
+    def test_preprocess_removes_the_models_of_the_old_split(self, csv_workspace, capsys):
+        """A new split and standardizer make every model and the latent code
+        stale: later stages ask for the stage that remakes them."""
+        for cmd in ("associate", "preprocess", "train-ae", "train"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        assert run_cmd(csv_workspace, "train", "--set", "use_encoder=true") == 0
+        assert run_cmd(csv_workspace, "preprocess", "--seed", "99") == 0
+        out = csv_workspace / "out"
+        for name in ("autoencoder.model", "latent.fmx", "classifier.model", "classifier_encoded.model"):
+            assert not (out / name).exists(), name
+        for args, hint in [
+            (("train", "--set", "use_encoder=true"), "latent.fmx; run `sevpred train-ae`"),
+            (("predict",), "classifier.model; run `sevpred train`"),
+            (("predict", "--set", "use_encoder=true"), "autoencoder.model; run `sevpred train-ae`"),
+        ]:
+            capsys.readouterr()
+            assert run_cmd(csv_workspace, *args) == 2, args
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["error"]["type"] == "DataError" and hint in err["error"]["message"], args
+
     def test_encode_stage_is_gone(self, csv_workspace, capsys):
         capsys.readouterr()
         assert run_cmd(csv_workspace, "encode") == 1

@@ -17,7 +17,13 @@ from sevpred import (
     train_classifier,
     weights_from_proportions,
 )
-from sevpred.errors import DataError, LabelOutOfRange, MissingClass, WidthMismatch
+from sevpred.errors import (
+    DataError,
+    LabelOutOfRange,
+    MissingClass,
+    NonFiniteActivation,
+    WidthMismatch,
+)
 from sevpred.evaluation import ber, confusion
 from sevpred.neural import init_params
 
@@ -117,6 +123,28 @@ class TestAutoencoder:
         train = np.asarray(history["train_mse"])
         decreasing = (np.diff(train) <= 0).mean()
         assert decreasing >= 0.9
+
+    def test_overflow_names_epoch_and_batch(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 8))
+        val = x[30:].copy()
+        x[5, :] = 1e308
+        cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=2, batch_size=40)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteActivation, match=r"dense layer 0 in epoch 0, batch 0$"):
+                train_autoencoder(cfg, feature_matrix(x[:30]), feature_matrix(val))
+
+    def test_overflow_in_validation_names_the_epoch(self):
+        # one 1e308 cell stays finite through the forward pass, but its
+        # squared error overflows and the step leaves non-finite weights
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 8))
+        val = x[30:].copy()
+        x[5, 2] = 1e308
+        cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=2, batch_size=40)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteActivation, match=r"in epoch 0, validation$"):
+                train_autoencoder(cfg, feature_matrix(x[:30]), feature_matrix(val))
 
     def test_width_mismatch(self):
         cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=1, batch_size=8)

@@ -13,6 +13,7 @@ from sevpred import (
     Parameters,
     adam_step,
     backward,
+    build_autoencoder,
     build_classifier,
     compute_class_weights,
     forward,
@@ -241,9 +242,36 @@ class TestBackward:
         x, y = rng.normal(size=(8, 4)), rng.integers(1, 4, size=8)
         _, cache = forward(spec, params, x, mode="train")
         expected = backward(spec, params, cache, "weighted_ce", y).flat
+        _, cache = forward(spec, params, x, mode="train")
         params.weights[0] = params.weights[0].view(NoTranspose)
         grads = backward(spec, params, cache, "weighted_ce", y)
         np.testing.assert_array_equal(grads.flat, expected)
+
+    @pytest.mark.parametrize("layers,loss_kind", [
+        ((Dense(6, 8, "relu"), Dropout(0.5), Dense(8, 3, "softmax")), "weighted_ce"),
+        ((Dropout(0.5), Dense(6, 8, "linear"), Dropout(0.3), Dense(8, 6, "relu")), "mse"),
+    ], ids=["dense-first", "dropout-first"])
+    def test_consumed_cache_is_refused(self, layers, loss_kind):
+        # backward writes its gradients into the cache's activations, so a
+        # second pass over the same cache would read garbage
+        spec = NetworkSpec(layers)
+        params = init_params(spec, seed=0)
+        x = np.random.default_rng(0).normal(size=(10, 6))
+        target = np.array([1, 2, 3] * 3 + [1]) if loss_kind == "weighted_ce" else x
+        _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
+        backward(spec, params, cache, loss_kind, target)
+        with pytest.raises(CacheMismatch, match="consumed"):
+            backward(spec, params, cache, loss_kind, target)
+
+    def test_mse_target_batch_left_untouched(self):
+        # an autoencoder's target is its own batch, the first layer's input
+        spec = NetworkSpec((Dense(6, 8, "relu"), Dropout(0.5), Dense(8, 6, "linear")))
+        x = np.random.default_rng(0).normal(size=(20, 6))
+        before = x.tobytes()
+        params = init_params(spec, seed=0)
+        _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
+        backward(spec, params, cache, "mse", x)
+        assert x.tobytes() == before
 
 
 class TestGradientCheck:
@@ -286,6 +314,16 @@ class TestGradientCheck:
         y = rng.integers(1, 4, size=14)
         assert gradient_check(spec, params, x, "weighted_ce", y, seed=3) < 1e-5
 
+    def test_relu_output_layer_with_mse(self):
+        # the output's relu mask must be read before the loss gradient is
+        # written over the output
+        spec = NetworkSpec((Dense(5, 8, "relu"), Dropout(0.3), Dense(8, 6, "relu")))
+        params = init_params(spec, seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(12, 5))
+        t = rng.normal(size=(12, 6))
+        assert gradient_check(spec, params, x, "mse", t, seed=4) < 1e-5
+
     def test_corrupted_gradient_detected(self):
         spec = NetworkSpec((Dense(4, 6, "relu"), Dense(6, 3, "softmax")))
         params = init_params(spec, seed=6)
@@ -317,7 +355,9 @@ class TestGradientCheck:
 class TestMemoryBudget:
     """One pass of the classifier at width 300 on a 2000 x 300 batch allocates
     a small multiple of the batch: each layer keeps its output and a bool
-    dropout mask, and infer mode keeps nothing once a layer is done."""
+    dropout mask, and infer mode keeps nothing once a layer is done. Backward
+    consumes the cache: each carried gradient is written into the activation
+    buffer it is the gradient of, so a step allocates no new carry."""
 
     @pytest.fixture
     def net(self):
@@ -334,6 +374,26 @@ class TestMemoryBudget:
             backward(spec, params, cache, "weighted_ce", y)
 
         assert traced_peak(step) <= 5 * x.nbytes
+
+    def test_train_step_reuses_the_activations(self, net):
+        spec, params, x, y = net
+
+        def step():
+            _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
+            backward(spec, params, cache, "weighted_ce", y)
+
+        assert traced_peak(step) <= 3 * x.nbytes
+
+    def test_autoencoder_step(self):
+        spec = build_autoencoder(AutoencoderConfig(input_dim=1221, encoder_widths=(512, 256)))
+        params = init_params(spec, seed=0)
+        x = np.random.default_rng(0).normal(size=(1000, 1221))
+
+        def step():
+            _, cache = forward(spec, params, x, mode="train")
+            backward(spec, params, cache, "mse", x)
+
+        assert traced_peak(step) <= 4.2 * x.nbytes
 
     def test_infer_forward(self, net):
         spec, params, x, _ = net
