@@ -16,7 +16,6 @@ from sevpred import (
     fit_standardizer,
     generate_synthetic,
     stratified_split,
-    transform_one_hot,
 )
 from sevpred.dataset import ColumnKind
 
@@ -42,8 +41,8 @@ features = assemble(table, codec, standardizer)
 print(f"\ndesign matrix: {features.n} x {features.d}")
 print("column labels:", features.column_labels[:6], "...")
 
-_, unseen = transform_one_hot(codec, table)
-print("cells with categories unseen at fit time:", unseen)
+# each one-hot block is one code column; -1 marks a category unseen at fit time
+print("cells with categories unseen at fit time:", np.count_nonzero(features.codes < 0))
 
 train_block = features.values[split.train]
 print("train numeric means (should be ~0):", np.round(train_block[:, :2].mean(axis=0), 6))

@@ -41,8 +41,6 @@ from .preprocess import (
     load_feature_matrix,
     save_feature_matrix,
     stratified_split,
-    transform_one_hot,
-    transform_standardize,
 )
 from .neural import (
     Dense,

@@ -17,6 +17,7 @@ import argparse
 import copy
 import csv as csv_module
 import datetime
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -89,13 +90,17 @@ class ConfigError(PipelineError):
     """Bad configuration or usage; maps to exit code 1."""
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``base`` with ``override`` laid over it: an object merges into an
+    object, any other value replaces. ConfigError, naming the dotted key, for
+    an object that lands on a non-object."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
+        if isinstance(value, dict) and key in out:
+            if not isinstance(out[key], dict):
+                raise ConfigError(f"setting {prefix}{key} is not an object, so an object cannot merge into it")
+            value = _deep_merge(out[key], value, f"{prefix}{key}.")
+        out[key] = value
     return out
 
 
@@ -172,7 +177,8 @@ def _work_dir(settings: dict) -> Path:
     return path
 
 
-def _parse_set(expr: str) -> tuple[list[str], object]:
+def _parse_set(expr: str) -> dict:
+    """``--set a.b=v`` as the overlay ``{"a": {"b": v}}``."""
     if "=" not in expr:
         raise ConfigError(f"--set expects key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
@@ -180,15 +186,14 @@ def _parse_set(expr: str) -> tuple[list[str], object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.split("."), value
+    return functools.reduce(lambda inner, name: {name: inner}, reversed(key.split(".")), value)
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """The validated settings: defaults <- config file <- --set <- flags. The
-    config file's sections and the flags, which are shorthands for --set,
-    take the same assignment as --set."""
-    settings = copy.deepcopy(DEFAULTS)
-    assignments = []
+    """The validated settings: defaults <- config file <- --set <- flags, each
+    source one overlay merged in that order. The flags are shorthands for
+    --set."""
+    overlays = []
     if args.config:
         path = Path(args.config)
         try:
@@ -200,25 +205,17 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        assignments = [([key], value) for key, value in file_cfg.items()]
-    assignments += [_parse_set(expr) for expr in args.set or []]
+        overlays.append(file_cfg)
+    overlays += [_parse_set(expr) for expr in args.set or []]
     if args.seed is not None:
-        assignments.append((["seed"], args.seed))
+        overlays.append({"seed": args.seed})
     if args.work_dir is not None:
-        assignments.append((["work_dir"], args.work_dir))
+        overlays.append({"work_dir": args.work_dir})
     if args.no_class_weights:
-        assignments.append((["classifier", "use_class_weights"], False))
-    for keys, value in assignments:
-        *path, last = keys
-        node = settings
-        for key in path:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"setting {'.'.join(keys)} crosses a non-object key")
-        # an object merges into an object section rather than replacing it
-        if isinstance(value, dict) and isinstance(node.get(last), dict):
-            value = _deep_merge(node[last], value)
-        node[last] = value
+        overlays.append({"classifier": {"use_class_weights": False}})
+    settings = copy.deepcopy(DEFAULTS)
+    for overlay in overlays:
+        settings = _deep_merge(settings, overlay)
     validate(settings)
     return settings
 
@@ -373,6 +370,8 @@ def stage_train_ae(settings: dict) -> dict:
     params, history = train_autoencoder(cfg, features.values[splits.train], features.values[splits.val])
     spec = build_autoencoder(cfg)
     meta = {"kind": "autoencoder", "config": dict(ae_cfg), "seed": cfg.seed, "latent_dim": cfg.latent_dim}
+    # the encoded classifier was fit on the old latent code
+    (work / "classifier_encoded.model").unlink(missing_ok=True)
     save_model(work / "autoencoder.model", spec, params, meta)
     # the code comes from the autoencoder just saved, so the two never disagree
     save_feature_matrix(work / "latent.fmx", encode(spec, params, features))

@@ -9,6 +9,7 @@ choice derives from the config seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,8 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
     ``targets`` is the label vector for classifiers or None for autoencoders
     (whose target is the batch itself). ``on_epoch(epoch, train_loss)`` runs
     after each epoch. A ``NonFiniteActivation`` names its epoch and its batch
-    or the epoch's validation pass.
+    or the epoch's validation pass; a non-finite batch loss raises it before
+    that batch's step.
     """
     n = x.shape[0]
     state = init_optimizer(params, learning_rate)
@@ -161,9 +163,12 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
                 data_loss = loss_weighted_ce(out, tb, weights)
             else:
                 data_loss = loss_mse(out, tb)
-            batch_losses.append(data_loss + l2_term(spec, params))
-            grads = backward(spec, params, cache, loss_kind, tb, weights)
-            adam_step(params, grads, state)
+            loss = data_loss + l2_term(spec, params)
+            if not math.isfinite(loss):
+                raise NonFiniteActivation(f"non-finite loss in epoch {epoch}, batch {b}")
+            batch_losses.append(loss)
+            # no name holds the gradient, so it is freed before the next batch
+            adam_step(params, backward(spec, params, cache, loss_kind, tb, weights), state)
         try:
             on_epoch(epoch, float(np.mean(batch_losses)))
         except NonFiniteActivation as exc:

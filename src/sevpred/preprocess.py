@@ -1,14 +1,13 @@
-"""Fit/transform encoders, compact feature-matrix assembly, and seeded
-stratified splits.
+"""Encoder fitting, feature-matrix assembly, and seeded stratified splits.
 
-Encoders are fitted on the training rows only and applied unchanged to
-validation/test data, so no statistics leak across splits. Standardization
-uses the population (1/n) standard deviation; zero-variance columns transform
-to all-zeros. One-hot categories are the table labels that occur among the
-training rows, in order of first appearance there; blocks map categories
-unseen at fit time to all-zero vectors. An assembled matrix keeps each
-one-hot block as one integer code per row and builds its dense rows only
-when a stage reads them.
+Encoders are fitted on the training rows only; ``assemble``, the one path
+from a table to features, applies them unchanged to any rows, so no
+statistics leak across splits. Standardization uses the population (1/n)
+standard deviation; zero-variance columns transform to all-zeros. One-hot
+categories are the table labels that occur among the training rows, in order
+of first appearance there. An assembled matrix keeps each one-hot block as
+one integer code per row, -1 for a category unseen at fit time (an all-zero
+vector), and builds its dense rows only when a stage reads them.
 """
 
 from __future__ import annotations
@@ -168,20 +167,6 @@ def fit_one_hot(table: Table, columns, rows=None) -> OneHotCodec:
     return OneHotCodec(categories)
 
 
-def transform_one_hot(codec: OneHotCodec, table: Table, columns=None) -> tuple[np.ndarray, int]:
-    """Encode columns as concatenated indicator blocks.
-
-    Returns the binary block and the count of cells whose category was unseen
-    at fit time (those rows get an all-zero vector in that block).
-    """
-    names = list(codec.categories) if columns is None else list(columns)
-    for name in names:
-        if name not in codec.categories:
-            raise UnknownColumn(name)
-    fm, unseen = _encode(table, names, codec, Standardizer({}))
-    return fm.values, unseen
-
-
 def fit_standardizer(table: Table, columns, rows=None) -> Standardizer:
     """Learn per-column mean and population std from the given rows."""
     idx = np.arange(table.n_rows) if rows is None else np.asarray(rows)
@@ -196,34 +181,35 @@ def fit_standardizer(table: Table, columns, rows=None) -> Standardizer:
     return Standardizer(moments)
 
 
-def transform_standardize(standardizer: Standardizer, table: Table, columns=None) -> np.ndarray:
-    """z = (x - mean) / std per column; zero-variance columns map to zeros."""
-    names = list(standardizer.moments) if columns is None else list(columns)
-    for name in names:
-        if name not in standardizer.moments:
-            raise UnknownColumn(name)
-    return _encode(table, names, OneHotCodec({}), standardizer)[0].values
+def assemble(table: Table, codec: OneHotCodec, standardizer: Standardizer, column_order=None) -> FeatureMatrix:
+    """Build the design matrix in deterministic column order, compactly:
+    its dense ``values`` are built only when read.
 
-
-def _encode(
-    table: Table, names: list[str], codec: OneHotCodec, standardizer: Standardizer
-) -> tuple[FeatureMatrix, int]:
-    """The compact encoding of ``names``, each fitted by ``standardizer`` or
-    else by ``codec``: standardized numeric columns, one code column per
-    one-hot block, blocks and labels in ``names`` order; and the count of
-    cells whose category was unseen at fit time. UnknownColumn for a column
-    of another kind than its encoder takes."""
-    for name in names:
+    Order is schema order restricted to fitted columns (or an explicit
+    ``column_order``). Each column is fitted by ``standardizer`` or else by
+    ``codec``: a numeric column contributes one standardized column, a
+    categorical column its full one-hot block, held as one code column whose
+    -1 entries are categories unseen at fit time, so the unseen count is
+    ``np.count_nonzero(fm.codes < 0)``. DimensionMismatch for a column
+    neither encoder fitted; UnknownColumn for a column of another kind than
+    its encoder takes.
+    """
+    if column_order is None:
+        fitted = set(codec.categories) | set(standardizer.moments)
+        column_order = [n for n in table.schema.names if n in fitted]
+    for name in column_order:
+        if name not in standardizer.moments and name not in codec.categories:
+            raise DimensionMismatch(f"column {name!r} not fitted by codec or standardizer")
         if not (table.schema.kind_of(name) == ColumnKind.NUMERIC if name in standardizer.moments
                 else name in table.labels):
             raise UnknownColumn(name)
-    n_numeric = sum(name in standardizer.moments for name in names)
+    n_numeric = sum(name in standardizer.moments for name in column_order)
     numeric = np.zeros((table.n_rows, n_numeric))
-    codes = np.empty((table.n_rows, len(names) - n_numeric), dtype=np.int32)
+    codes = np.empty((table.n_rows, len(column_order) - n_numeric), dtype=np.int32)
     labels: list[str] = []
     blocks = []
     i = j = 0
-    for name in names:
+    for name in column_order:
         if name in standardizer.moments:
             mean, std = standardizer.moments[name]
             if std > 0:
@@ -239,30 +225,7 @@ def _encode(
             j += 1
             labels.extend(f"{name}={c}" for c in fitted)
             blocks.append(("one_hot", len(fitted)))
-    unseen = int(np.count_nonzero(codes < 0))
-    return FeatureMatrix(numeric, tuple(labels), codes, tuple(blocks)), unseen
-
-
-def assemble(
-    table: Table,
-    codec: OneHotCodec,
-    standardizer: Standardizer,
-    column_order=None,
-) -> FeatureMatrix:
-    """Build the design matrix in deterministic column order, compactly:
-    its dense ``values`` are built only when read.
-
-    Order is schema order restricted to fitted columns (or an explicit
-    ``column_order``); each numeric column contributes one standardized
-    column, each categorical column its full one-hot block.
-    """
-    if column_order is None:
-        fitted = set(codec.categories) | set(standardizer.moments)
-        column_order = [n for n in table.schema.names if n in fitted]
-    for name in column_order:
-        if name not in standardizer.moments and name not in codec.categories:
-            raise DimensionMismatch(f"column {name!r} not fitted by codec or standardizer")
-    return _encode(table, list(column_order), codec, standardizer)[0]
+    return FeatureMatrix(numeric, tuple(labels), codes, tuple(blocks))
 
 
 def stratified_allocate(labels, ratios, seed: int) -> list[np.ndarray]:

@@ -169,6 +169,20 @@ class TestPreprocessTrainChain:
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["error"]["type"] == "DataError" and hint in err["error"]["message"], args
 
+    def test_train_ae_removes_the_stale_encoded_classifier(self, csv_workspace, capsys):
+        """The encoded classifier was fit on the old latent code, so a new
+        autoencoder removes it and predict asks for train."""
+        for cmd in ("associate", "preprocess", "train-ae"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        assert run_cmd(csv_workspace, "train", "--set", "use_encoder=true") == 0
+        assert run_cmd(csv_workspace, "train-ae", "--seed", "99") == 0
+        assert not (csv_workspace / "out" / "classifier_encoded.model").exists()
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "predict", "--set", "use_encoder=true") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "classifier_encoded.model; run `sevpred train`" in err["error"]["message"]
+
     def test_encode_stage_is_gone(self, csv_workspace, capsys):
         capsys.readouterr()
         assert run_cmd(csv_workspace, "encode") == 1
@@ -598,6 +612,10 @@ class TestConfigPlumbing:
         ["--config", "not_utf8.json"],
         pytest.param(["--config", "."], id="config-is-a-directory"),
         ["--config", "missing.json"],
+        # a later object lands on the scalar an earlier --set left
+        pytest.param(["--set", "classifier=5", "--set", 'classifier={"epochs": 1}'], id="classifier-scalar-then-object"),
+        pytest.param(["--set", "autoencoder=5", "--set", 'autoencoder={"epochs": 1}'], id="autoencoder-scalar-then-object"),
+        pytest.param(["--set", "grid=5", "--set", 'grid={"initial_neurons": [8]}'], id="grid-scalar-then-object"),
     ], ids=lambda args: args[-1])
     def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
         (csv_workspace / "data.csv").write_bytes(b"\xff\n")

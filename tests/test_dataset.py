@@ -13,15 +13,16 @@ from sevpred import dataset
 from sevpred import (
     ColumnKind,
     SchemaSpec,
+    Standardizer,
     SyntheticSpec,
     Table,
+    assemble,
     class_distribution,
     fit_one_hot,
     generate_synthetic,
     impute,
     ingest_csv,
     summarize,
-    transform_one_hot,
     write_csv,
 )
 from sevpred.dataset import (
@@ -372,9 +373,9 @@ class TestImpute:
         imputed = impute(table)
         codec = fit_one_hot(imputed, ["City"])
         assert codec.categories["City"] == ("Unknown", "A")
-        block, unseen = transform_one_hot(codec, imputed)
-        assert block.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-        assert unseen == 0
+        fm = assemble(imputed, codec, Standardizer({}))
+        assert fm.values.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert np.count_nonzero(fm.codes < 0) == 0
 
     def test_all_missing_numeric_errors(self):
         table = self.make_table([np.nan, np.nan], [True, True], ["A", "B"], [False, False])

@@ -136,14 +136,14 @@ class TestAutoencoder:
 
     def test_overflow_in_validation_names_the_epoch(self):
         # one 1e308 cell stays finite through the forward pass, but its
-        # squared error overflows and the step leaves non-finite weights
+        # squared error overflows, so the batch stops before its step
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 8))
         val = x[30:].copy()
         x[5, 2] = 1e308
         cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=2, batch_size=40)
         with np.errstate(all="ignore"):
-            with pytest.raises(NonFiniteActivation, match=r"in epoch 0, validation$"):
+            with pytest.raises(NonFiniteActivation, match=r"^non-finite loss in epoch 0, batch 0$"):
                 train_autoencoder(cfg, feature_matrix(x[:30]), feature_matrix(val))
 
     def test_width_mismatch(self):

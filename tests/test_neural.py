@@ -395,6 +395,17 @@ class TestMemoryBudget:
 
         assert traced_peak(step) <= 4.2 * x.nbytes
 
+    def test_train_classifier_run(self):
+        # a whole run holds the flat parameters, the Adam moments and the
+        # best-epoch checkpoint, but no gradient past its own step
+        cfg = ClassifierConfig(initial_neurons=256, batch_size=100, epochs=2)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(800, 16))
+        y = rng.integers(1, 5, size=800)
+        params = init_params(build_classifier(cfg, 16, 4), seed=0)
+        peak = traced_peak(lambda: train_classifier(cfg, x[:600], y[:600], x[600:], y[600:], n_classes=4))
+        assert peak <= 7.3 * params.flat.nbytes
+
     def test_infer_forward(self, net):
         spec, params, x, _ = net
         assert traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes

@@ -11,8 +11,6 @@ from sevpred import (
     load_feature_matrix,
     save_feature_matrix,
     stratified_split,
-    transform_one_hot,
-    transform_standardize,
 )
 from sevpred.dataset import ColumnKind, SchemaSpec, Table
 from sevpred.errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
@@ -79,20 +77,20 @@ class TestOneHot:
     def test_known_category_unit_vector(self):
         table = table_from(categorical={"c": ["A", "B"]})
         codec = fit_one_hot(table, ["c"])
-        block, unseen = transform_one_hot(codec, table_from(categorical={"c": ["B"]}))
-        assert block.tolist() == [[0.0, 1.0]]
-        assert unseen == 0
+        fm = assemble(table_from(categorical={"c": ["B"]}), codec, Standardizer({}))
+        assert fm.values.tolist() == [[0.0, 1.0]]
+        assert np.count_nonzero(fm.codes < 0) == 0
 
     def test_unseen_category_zero_vector(self):
         table = table_from(categorical={"c": ["A", "B"]})
         codec = fit_one_hot(table, ["c"])
-        block, unseen = transform_one_hot(codec, table_from(categorical={"c": ["C", "A"]}))
-        assert block.tolist() == [[0.0, 0.0], [1.0, 0.0]]
-        assert unseen == 1
+        fm = assemble(table_from(categorical={"c": ["C", "A"]}), codec, Standardizer({}))
+        assert fm.values.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert np.count_nonzero(fm.codes < 0) == 1
 
     def test_at_most_one_hot_per_block(self, small_table):
         codec = fit_one_hot(small_table, ["cat_0", "cat_1"])
-        block, _ = transform_one_hot(codec, small_table)
+        block = assemble(small_table, codec, Standardizer({}), ["cat_0", "cat_1"]).values
         w0 = codec.width("cat_0")
         assert (block[:, :w0].sum(axis=1) <= 1).all()
         assert (block[:, w0:].sum(axis=1) <= 1).all()
@@ -105,7 +103,7 @@ class TestOneHot:
 
 
 def reference_one_hot(categories, values):
-    """Per-cell loop the vectorized transform_one_hot must reproduce."""
+    """Per-cell loop the one-hot blocks of ``assemble`` must reproduce."""
     index = {c: i for i, c in enumerate(categories)}
     block = np.zeros((len(values), len(categories)))
     unseen = 0
@@ -136,10 +134,10 @@ class TestOneHotMatchesReference:
         fitted = np.asarray(values, dtype=object)[np.asarray(rows)]
         assert codec.categories["c"] == tuple(dict.fromkeys(str(v) for v in fitted))
         for cells in (values, new_values):
-            block, unseen = transform_one_hot(codec, table_from(categorical={"c": cells}))
+            fm = assemble(table_from(categorical={"c": cells}), codec, Standardizer({}))
             ref_block, ref_unseen = reference_one_hot(codec.categories["c"], cells)
-            np.testing.assert_array_equal(block, ref_block)
-            assert unseen == ref_unseen
+            np.testing.assert_array_equal(fm.values, ref_block)
+            assert np.count_nonzero(fm.codes < 0) == ref_unseen
 
 
 class TestStandardizer:
@@ -153,18 +151,18 @@ class TestStandardizer:
         mean, std = standardizer.moments["x"]
         assert mean == pytest.approx(2.0)
         assert std == pytest.approx(0.8165, abs=1e-4)
-        out = transform_standardize(standardizer, table)
+        out = assemble(table, OneHotCodec({}), standardizer).values
         np.testing.assert_allclose(out[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_zeros(self):
         table = table_from(numeric={"x": [5.0, 5.0]})
         standardizer = fit_standardizer(table, ["x"])
-        out = transform_standardize(standardizer, table)
+        out = assemble(table, OneHotCodec({}), standardizer).values
         np.testing.assert_array_equal(out, [[0.0], [0.0]])
 
     def test_fitting_data_has_zero_mean(self, small_table):
         standardizer = fit_standardizer(small_table, ["num_0", "num_1"])
-        out = transform_standardize(standardizer, small_table)
+        out = assemble(small_table, OneHotCodec({}), standardizer).values
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
 
     def test_unknown_column(self, small_table):
