@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .association import association_matrix, select_features
 from .dataset import ColumnKind, Table, atomic_write, impute, ingest_csv, load_schema, summarize
-from .dataset import json_fits, load_json_artifact
+from .dataset import file_sha256, json_fits, load_json_artifact, load_table, save_table, schema_to_dict
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -244,8 +244,26 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_table(settings: dict, *, imputed: bool = True, require_target: bool = True) -> Table:
+    """The table of ``data.csv`` under the schema, as every stage gets it.
+
+    ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
+    key of what decides it: the sha256 of the CSV's bytes, the schema and
+    ``require_target`` (the file's format names the ingest rules). A stage
+    whose key matches reads the table back instead of parsing the CSV; a
+    cache that is absent, cut, corrupt or keyed otherwise is a miss, never an
+    error. Only a successful ingest writes the cache, and only while the
+    CSV still hashes to its key, so the work dir is not made before then.
+    """
     csv_path, schema_path = _data_paths(settings)
-    table = ingest_csv(csv_path, load_schema(schema_path), require_target=require_target)
+    schema = load_schema(schema_path)
+    key = {"csv_sha256": file_sha256(csv_path), "schema": schema_to_dict(schema),
+           "require_target": require_target}
+    try:
+        table = load_table(Path(settings["work_dir"]) / "table.cache", schema, key)
+    except (OSError, DataError):
+        table = ingest_csv(csv_path, schema, require_target=require_target)
+        if file_sha256(csv_path) == key["csv_sha256"]:  # not rewritten while it was parsed
+            save_table(_work_dir(settings) / "table.cache", table, key)
     return impute(table) if imputed else table
 
 

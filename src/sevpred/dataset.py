@@ -12,10 +12,12 @@ as immutable after construction.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import math
 import os
+import secrets
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -182,6 +184,9 @@ def factorize(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 INGEST_CHUNK = 1024  # CSV rows ingest_csv codes per step
+# the format of a saved table; bump it whenever ingest_csv's rules change,
+# so a table an older rule parsed is never read back
+TABLE_FORMAT = "sevpred-table-1"
 
 
 def _parse_numeric(text: str) -> float:
@@ -239,6 +244,10 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     With ``require_target=False`` the target column may be absent from the
     header and is never read when present: every data line is kept
     (``n_dropped`` is 0) with the placeholder label 1, as ``predict`` needs.
+
+    The CLI saves the result with :func:`save_table` and reads it back while
+    the CSV's bytes, the schema and ``require_target`` are unchanged, so a
+    change to these rules must bump ``TABLE_FORMAT``.
     """
     target_name, k = schema.target, schema.target_cardinality
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -290,21 +299,31 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
                     parts[name].append(np.fromiter(cells, dtype=np.int64, count=len(target)))
             del rows, kept, columns  # this chunk's cells go before the next is read
 
-    columns, missing, labels = {}, {}, {}
+    columns, labels = {}, {}
     for name, kind in schema.columns:
-        values = np.concatenate(parts.pop(name))
+        columns[name] = np.concatenate(parts.pop(name))
+        if name in index:
+            # raw labels that trim to one text merge, in first-appearance order
+            merged, labels[name] = factorize(np.array([text.strip() for text in index[name]], dtype=object))
+            columns[name] = merged[columns[name]]
+    return _ingested_table(schema, columns, labels, n_dropped)
+
+
+def _ingested_table(schema: SchemaSpec, columns: dict, labels: dict, n_dropped: int) -> Table:
+    """The Table of ingested ``columns``: a non-finite numeric cell (set to
+    NaN here) and a categorical/boolean cell whose label is blank are
+    missing; the target has no missing cell."""
+    missing = {}
+    for name, kind in schema.columns:
+        values = columns[name]
         if kind == ColumnKind.NUMERIC:
             missing[name] = ~np.isfinite(values)
             values[missing[name]] = np.nan
         elif kind == ColumnKind.TARGET:
             missing[name] = np.zeros(len(values), dtype=bool)
         else:
-            # raw labels that trim to one text merge, in first-appearance order
-            merged, labels[name] = factorize(np.array([text.strip() for text in index[name]], dtype=object))
-            values = merged[values]
             missing[name] = (labels[name] == "")[values]
-        columns[name] = values
-    return Table(schema, columns, missing, len(columns[target_name]), n_dropped, labels)
+    return Table(schema, columns, missing, len(columns[schema.target]), n_dropped, labels)
 
 
 def write_csv(table: Table, path: str | Path) -> None:
@@ -503,10 +522,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Table:
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
     """Write to a temporary sibling and rename it over ``path`` once the block
-    completes: a failed write leaves the previous file intact."""
-    tmp = Path(f"{path}.tmp")
+    completes: a failed write leaves the previous file intact. ``mode`` is
+    ``"w"`` or ``"wb"``. Each writer gets a sibling of its own, so concurrent
+    writers of one path each complete and the last rename wins; the sibling
+    is created exclusively ("x"), with the permissions ``open`` gives."""
+    tmp = Path(f"{path}.{secrets.token_hex(8)}.tmp")
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -594,3 +616,73 @@ def read_arrays(fh, path: str | Path, sections) -> list[np.ndarray]:
     if sum(fh.readinto(a.view(np.uint8)) for a in arrays) != size:
         raise DataError(f"{path}: data section changed while it was read")
     return arrays
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes, read in 1 MiB blocks through one
+    buffer, so memory stays flat at any file size."""
+    digest, block = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(memoryview(block)[:n])
+    return digest.hexdigest()
+
+
+def _table_sections(schema: SchemaSpec, n_rows: int) -> list[tuple[str, int]]:
+    """A saved table's ``(dtype, count)`` sections, one per schema column:
+    float64 values (NaN where missing), int64 target labels and, as
+    ``features.fmx`` stores codes, int32 category codes."""
+    dtypes = {ColumnKind.NUMERIC: "<f8", ColumnKind.TARGET: "<i8"}
+    return [(dtypes.get(kind, "<i4"), n_rows) for _, kind in schema.columns]
+
+
+def _table_digest(body: dict, arrays) -> str:
+    """sha256 of a saved table's manifest fields (all but its digest) and data."""
+    digest = hashlib.sha256(json.dumps(body).encode("utf-8"))
+    for a in arrays:
+        digest.update(a.view(np.uint8))
+    return digest.hexdigest()
+
+
+def save_table(path: str | Path, table: Table, key: dict) -> None:
+    """Write an ingested (not imputed) ``table`` under ``key``, the JSON of
+    what decided it: one manifest line with the key, ``n_rows``,
+    ``n_dropped``, each categorical column's labels and a sha256 of those
+    fields and the data, then one section per column (see
+    ``_table_sections``)."""
+    manifest = {
+        "format": TABLE_FORMAT,
+        "key": key,
+        "n_rows": table.n_rows,
+        "n_dropped": table.n_dropped,
+        "labels": {name: labels.tolist() for name, labels in table.labels.items()},
+    }
+    arrays = [np.ascontiguousarray(table.columns[name], dtype=dtype)
+              for name, (dtype, _) in zip(table.schema.names, _table_sections(table.schema, table.n_rows))]
+    manifest["sha256"] = _table_digest(manifest, arrays)
+    save_blob(path, manifest, [(a.dtype, a) for a in arrays])
+
+
+def load_table(path: str | Path, schema: SchemaSpec, key: dict) -> Table:
+    """The table :func:`save_table` wrote to ``path`` under ``key``, as
+    ``ingest_csv`` returned it; DataError if the file is cut or corrupt,
+    holds another key or columns other than ``schema``'s, or fails its
+    sha256."""
+    with open(path, "rb") as fh:
+        manifest = read_manifest(fh, path, (TABLE_FORMAT,), "table")
+        categorical = [name for name, kind in schema.columns
+                       if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)]
+        shape = {"n_rows": range(2**63), "n_dropped": range(2**63), "labels": {str: [str]}, "sha256": str}
+        if not (manifest.get("key") == key and json_fits(manifest, shape)
+                and list(manifest["labels"]) == categorical):
+            raise DataError(f"{path}: not a table saved under this key")
+        arrays = read_arrays(fh, path, _table_sections(schema, manifest["n_rows"]))
+    sha256 = manifest.pop("sha256")
+    if _table_digest(manifest, arrays) != sha256:
+        raise DataError(f"{path}: table does not match its sha256")
+    labels = {name: np.array(values, dtype=object) for name, values in manifest["labels"].items()}
+    columns = {}
+    for name in schema.names:
+        a = arrays.pop(0)  # so each int32 section goes once it is widened
+        columns[name] = a.astype(np.int64) if name in labels else a
+    return _ingested_table(schema, columns, labels, manifest["n_dropped"])

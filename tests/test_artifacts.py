@@ -86,6 +86,18 @@ class TestAtomicWrite:
         assert path.read_text() == "previous"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_nested_writers_of_one_path_both_complete(self, tmp_path):
+        """Two writers of one path each rename a whole file of their own;
+        the last to complete leaves its bytes and no temporary remains."""
+        path = tmp_path / "out.txt"
+        with atomic_write(path, "w", encoding="utf-8") as outer:
+            outer.write("outer")
+            with atomic_write(path, "w", encoding="utf-8") as inner:
+                inner.write("inner")
+            assert path.read_text() == "inner"
+        assert path.read_text() == "outer"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_preprocessor_write_failing_midway(self, tmp_path):
         path = tmp_path / "preprocessor.json"
         codec = OneHotCodec({"c": ("a", "b")})

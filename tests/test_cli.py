@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, encode, init_params, load_model, save_model
+from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, cli, encode, init_params, load_model, save_model
 from sevpred.cli import DEFAULTS, main
 from sevpred.preprocess import load_feature_matrix, save_feature_matrix
 from sevpred.rng import derive_seed
@@ -509,6 +510,98 @@ class TestPipeline:
         assert history["config"]["use_class_weights"] is False
 
 
+@pytest.fixture
+def ingests(monkeypatch):
+    """The CSV paths of the calls the CLI makes to ``ingest_csv``."""
+    calls = []
+    ingest = cli.ingest_csv
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return ingest(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest_csv", counted)
+    return calls
+
+
+class TestTableCache:
+    """A stage reads ``data.csv``'s table back from ``table.cache`` while
+    the CSV's bytes, the schema and ``require_target`` are unchanged."""
+
+    def test_second_associate_does_not_ingest(self, csv_workspace, ingests):
+        assert run_cmd(csv_workspace, "associate") == 0
+        assert len(ingests) == 1
+        assert run_cmd(csv_workspace, "associate") == 0
+        assert len(ingests) == 1
+
+    def test_pipeline_ingests_once(self, csv_workspace, ingests):
+        assert run_cmd(csv_workspace, "pipeline") == 0
+        assert len(ingests) == 1
+
+    def test_warm_and_cold_runs_match(self, messy_workspace, capsys, ingests):
+        """Deleting table.cache before every stage changes no artifact and
+        no stdout; kept, it spares every ingest but the first of each key."""
+        out = messy_workspace / "out"
+        runs, counts = {}, {}
+        for warm in (False, True):
+            ingests.clear()
+            printed = {}
+            for stage in ("stats", "associate", "preprocess", "train", "predict"):
+                if not warm:
+                    (out / "table.cache").unlink(missing_ok=True)
+                capsys.readouterr()
+                assert run_cmd(messy_workspace, stage) == 0, stage
+                printed[stage] = strip_meta(json.loads(capsys.readouterr().out))
+            files = {p.name: strip_meta(json.loads(p.read_bytes())) if p.suffix == ".json" else p.read_bytes()
+                     for p in out.iterdir()}
+            runs[warm], counts[warm] = (printed, files), len(ingests)
+            shutil.rmtree(out)
+        assert runs[False] == runs[True]
+        assert "table.cache" in runs[True][1]
+        # predict reads the table without its target: a second key
+        assert counts == {False: 4, True: 2}
+
+    @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind"])
+    def test_changed_input_reingests(self, csv_workspace, capsys, ingests, edit):
+        """A one-cell edit of the CSV that keeps its length, or a schema
+        edit, re-ingests: stats prints what it prints in a fresh work dir."""
+        assert run_cmd(csv_workspace, "stats") == 0
+        if edit == "csv-cell":
+            path = csv_workspace / "data.csv"
+            text = path.read_text(encoding="utf-8")
+            at = text.index("\n") + 1
+            at = next(i for i in range(at, len(text)) if text[i].isdigit())
+            path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:], encoding="utf-8")
+        else:
+            path = csv_workspace / "schema.json"
+            path.write_text(path.read_text(encoding="utf-8").replace('"categorical"', '"boolean"', 1),
+                            encoding="utf-8")
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 0
+        assert len(ingests) == 2
+        warm = strip_meta(json.loads(capsys.readouterr().out))
+        assert run_cmd(csv_workspace, "stats", "--work-dir", str(csv_workspace / "fresh")) == 0
+        assert warm == strip_meta(json.loads(capsys.readouterr().out))
+        if edit == "schema-kind":
+            assert warm["columns"]["cat_0"]["kind"] == "boolean"
+
+    def test_predict_reingests_without_the_target(self, csv_workspace, ingests):
+        """The labeled table drops a blank-target line; predict's table,
+        keyed by require_target=False, scores it."""
+        path = csv_workspace / "data.csv"
+        header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+        assert header.endswith(",severity")
+        path.write_text(f"{header}\n{first.rsplit(',', 1)[0]},\n{rest}", encoding="utf-8")
+        for cmd in ("associate", "preprocess", "train"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        assert len(ingests) == 1
+        assert read_json(csv_workspace, "targets.json")["n_dropped_missing_target"] == 1
+        assert run_cmd(csv_workspace, "predict") == 0
+        assert len(ingests) == 2
+        rows = (csv_workspace / "out" / "predictions.csv").read_text().splitlines()[1:]
+        assert len(rows) == 400
+
+
 class TestConfigPlumbing:
     def test_set_leaves_defaults_unchanged(self, csv_workspace):
         snapshot = copy.deepcopy(DEFAULTS)
@@ -936,3 +1029,47 @@ class TestTruncationProperty:
             path.write_bytes(whole)
         assert code == 2
         assert json.loads(err.getvalue().strip().splitlines()[-1])["error"]["type"] == "DataError"
+
+
+@pytest.fixture(scope="module")
+def cached_workspace(tmp_path_factory):
+    """A workspace after ``stats``: the root, what stats printed and wrote
+    (without "meta"), and the table.cache it left."""
+    root = write_workspace(tmp_path_factory.mktemp("cached"), make_small_table())
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cmd(root, "stats") == 0
+    outputs = (strip_meta(json.loads(printed.getvalue())), strip_meta(read_json(root, "stats.json")))
+    return root, outputs, (root / "out" / "table.cache").read_bytes()
+
+
+class TestDamagedTableCache:
+    """The opposite of TestTruncationProperty: table.cache is not an input
+    but a copy of what ingest made of one, so a cut or corrupt cache is a
+    miss, never an error. The next stage re-ingests data.csv, exits 0 with
+    the same outputs and rewrites the cache whole."""
+
+    @staticmethod
+    def rerun_stats(root, damaged: bytes):
+        path = root / "out" / "table.cache"
+        path.write_bytes(damaged)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run_cmd(root, "stats") == 0
+        return (strip_meta(json.loads(printed.getvalue())), strip_meta(read_json(root, "stats.json"))), path.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cut_cache_is_a_miss(self, cached_workspace, data):
+        root, outputs, whole = cached_workspace
+        offset = data.draw(st.integers(0, len(whole) - 1), label="offset")
+        assert self.rerun_stats(root, whole[:offset]) == (outputs, whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_flipped_data_byte_is_a_miss(self, cached_workspace, data):
+        root, outputs, whole = cached_workspace
+        offset = data.draw(st.integers(whole.index(b"\n") + 1, len(whole) - 1), label="offset")
+        damaged = bytearray(whole)
+        damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
+        assert self.rerun_stats(root, bytes(damaged)) == (outputs, whole)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sevpred
-from sevpred import dataset
+from sevpred import cli, dataset
 from sevpred import (
     ColumnKind,
     SchemaSpec,
@@ -30,6 +30,8 @@ from sevpred.dataset import (
     json_fits,
     largest_remainder_counts,
     load_schema,
+    load_table,
+    save_table,
     schema_to_dict,
 )
 from sevpred.errors import (
@@ -299,6 +301,34 @@ class TestIngestChunkEdges:
                 TestIngestProperty(), order, labeled, rows)
 
 
+ACCIDENTS_SCHEMA = Path(sevpred.__file__).parent / "schemas" / "us_accidents.json"
+
+
+def write_accidents_csv(path, n):
+    """``n`` accidents-shaped rows under the shipped schema, 2% of the
+    feature cells blank."""
+    schema = load_schema(ACCIDENTS_SCHEMA)
+    rng = np.random.default_rng(12)
+    cells = {}
+    for name, kind in schema.columns:
+        if kind == ColumnKind.TARGET:
+            column = rng.integers(1, 5, n).astype(str)
+        elif kind == ColumnKind.NUMERIC:
+            column = np.char.mod("%.6f", rng.normal(35.0, 5.0, n))
+        elif kind == ColumnKind.CATEGORICAL:
+            column = np.char.mod(f"{name}_%03d", rng.integers(0, 400, n))
+        else:
+            column = np.where(rng.random(n) < 0.05, "True", "False")
+        cells[name] = column.astype(object)
+        if kind != ColumnKind.TARGET:
+            cells[name][rng.random(n) < 0.02] = ""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(cells))
+        writer.writerows(zip(*cells.values()))
+    return path
+
+
 class TestIngestMemory:
     """Ingest holds one chunk of cells besides the arrays it returns: on 20k
     accidents-shaped rows its traced peak stays under 3x the bytes of the
@@ -306,31 +336,67 @@ class TestIngestMemory:
     peaked near 8x."""
 
     def test_peak_bounded_by_table_arrays(self, tmp_path):
-        schema = load_schema(Path(sevpred.__file__).parent / "schemas" / "us_accidents.json")
-        rng = np.random.default_rng(12)
-        n = 20_000
-        cells = {}
-        for name, kind in schema.columns:
-            if kind == ColumnKind.TARGET:
-                column = rng.integers(1, 5, n).astype(str)
-            elif kind == ColumnKind.NUMERIC:
-                column = np.char.mod("%.6f", rng.normal(35.0, 5.0, n))
-            elif kind == ColumnKind.CATEGORICAL:
-                column = np.char.mod(f"{name}_%03d", rng.integers(0, 400, n))
-            else:
-                column = np.where(rng.random(n) < 0.05, "True", "False")
-            cells[name] = column.astype(object)
-            if kind != ColumnKind.TARGET:
-                cells[name][rng.random(n) < 0.02] = ""
-        path = tmp_path / "accidents.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(cells))
-            writer.writerows(zip(*cells.values()))
+        schema = load_schema(ACCIDENTS_SCHEMA)
+        path = write_accidents_csv(tmp_path / "accidents.csv", 20_000)
         table = ingest_csv(path, schema)
-        assert table.n_rows == n
+        assert table.n_rows == 20_000
         nbytes = sum(a.nbytes for a in [*table.columns.values(), *table.missing.values()])
         assert traced_peak(lambda: ingest_csv(path, schema)) < 3 * nbytes
+
+    def test_cache_hit_peak_at_most_ingest(self, tmp_path, monkeypatch):
+        """A CLI stage that reads its table from table.cache peaks no higher
+        than parsing the CSV: the CSV is hashed in blocks, never held."""
+        path = write_accidents_csv(tmp_path / "accidents.csv", 20_000)
+        settings = {"data": {"csv": str(path), "schema": str(ACCIDENTS_SCHEMA)}, "work_dir": str(tmp_path / "out")}
+        cli._load_table(settings, imputed=False)
+        ingest_peak = traced_peak(lambda: ingest_csv(path, load_schema(ACCIDENTS_SCHEMA)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit parsed the CSV")
+
+        monkeypatch.setattr(cli, "ingest_csv", refuse)
+        assert traced_peak(lambda: cli._load_table(settings, imputed=False)) <= ingest_peak
+
+
+class TestTableFile:
+    """``load_table`` gives back what ``save_table`` saved from
+    ``ingest_csv`` bit for bit, and refuses another key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labeled=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from(["", "x", "1", " 3 ", "4.0"]),
+                st.sampled_from(NUMERIC_CELLS),
+                st.sampled_from(TEXT_CELLS + ["a\0", "\U0001f600"]),
+                st.sampled_from(TEXT_CELLS),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_round_trip(self, labeled, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(SCHEMA.names)
+                for length, severity, temperature, city, signal in rows:
+                    writer.writerow([temperature, city, signal, severity][:length])
+            table = ingest_csv(path, SCHEMA, require_target=labeled)
+            key = {"csv": "any", "require_target": labeled}
+            save_table(Path(tmp) / "table.cache", table, key)
+            back = load_table(Path(tmp) / "table.cache", SCHEMA, key)
+            with pytest.raises(DataError, match="key"):
+                load_table(Path(tmp) / "table.cache", SCHEMA, {**key, "csv": "other"})
+        assert (back.n_rows, back.n_dropped) == (table.n_rows, table.n_dropped)
+        for name in SCHEMA.names:
+            for got, want in ((back.columns[name], table.columns[name]), (back.missing[name], table.missing[name])):
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        assert back.labels.keys() == table.labels.keys()
+        for name, labels in table.labels.items():
+            assert (back.labels[name].dtype, back.labels[name].tolist()) == (labels.dtype, labels.tolist())
 
 
 class TestImpute:
