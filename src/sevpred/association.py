@@ -2,12 +2,12 @@
 pairwise association matrices, and threshold-based feature selection.
 
 Numeric columns take part through equal-frequency (quantile) binning, so one
-measure covers every column-type pair. Table columns are used as the codes
-that occur in them; :func:`build_contingency` codes loose arrays. Every table
-is one ``bincount`` over the codes of its two columns. Plain (uncorrected) V
-is the default; the small-sample bias correction sits behind a flag.
-:func:`association_matrix` computes V once per column pair, and
-:func:`select_features` reads the target's row of that matrix.
+measure covers every column-type pair. :func:`association_matrix` works on a
+table's integer codes, renumbered once per column over the codes that occur,
+and counts each pair with one ``bincount``; :func:`build_contingency` codes
+loose arrays. Both reach V through one chi-square and one V helper. Plain
+(uncorrected) V is the default; the small-sample bias correction sits behind
+a flag. :func:`select_features` reads the target's row of the matrix.
 """
 
 from __future__ import annotations
@@ -79,8 +79,15 @@ def bin_numeric(values: np.ndarray, n_bins: int) -> np.ndarray:
     edges = np.unique(np.quantile(values, qs))
     # count of edges strictly below each value = bin index; ties land low
     bins = np.searchsorted(edges, values, side="left")
-    _, collapsed = np.unique(bins, return_inverse=True)
-    return collapsed.astype(np.int64)
+    return _dense(bins)[0]
+
+
+def _dense(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative int ``codes`` renumbered 0.. in value order over the
+    values that occur, and each one's count, from one ``bincount``."""
+    counts = np.bincount(codes)
+    occurs = counts > 0
+    return (np.cumsum(occurs) - 1)[codes], counts[occurs]
 
 
 def build_contingency(a, b) -> ContingencyTable:
@@ -89,12 +96,7 @@ def build_contingency(a, b) -> ContingencyTable:
         raise LengthMismatch(f"category arrays differ in length: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise DataError("cannot tabulate empty arrays")
-    return _cross_tab(factorize(a), factorize(b))
-
-
-def _cross_tab(a: tuple, b: tuple) -> ContingencyTable:
-    """Contingency table of two equal-length (codes, labels) columns."""
-    (ai, row_labels), (bi, col_labels) = a, b
+    (ai, row_labels), (bi, col_labels) = factorize(a), factorize(b)
     r, c = len(row_labels), len(col_labels)
     counts = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
     return ContingencyTable(counts, tuple(row_labels.tolist()), tuple(col_labels.tolist()))
@@ -104,10 +106,17 @@ def chi_square(table: ContingencyTable) -> float:
     """Pearson chi-square statistic; cells with zero expected count
     contribute nothing."""
     counts = np.asarray(table.counts, dtype=np.float64)
-    n = counts.sum()
-    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
+    return _chi_square(counts, counts.sum(axis=1), counts.sum(axis=0), counts.sum())
+
+
+def _chi_square(counts, rows, cols, n) -> float:
+    """Chi-square of ``counts`` from its float64 margins and total ``n``."""
+    expected = np.outer(rows, cols)
+    expected /= n
+    terms = np.subtract(counts, expected)
+    np.square(terms, out=terms)
+    # a zero expected count lies in a zero margin, so its term stays (0 - 0)**2
+    np.divide(terms, expected, out=terms, where=expected > 0)
     # canonical summation order: the statistic is bit-identical under row or
     # column permutation and transpose, so association matrices are exactly
     # symmetric and exactly reproducible from pairwise calls
@@ -120,11 +129,16 @@ def cramers_v(table: ContingencyTable, bias_corrected: bool = False) -> float:
     The bias-corrected form replaces chi2/n with
     max(0, chi2/n - (r-1)(c-1)/(n-1)) and shrinks r and c accordingly.
     """
-    r, c = table.counts.shape
-    n = table.n
+    counts = np.asarray(table.counts, dtype=np.float64)
+    return _cramers_v(counts, counts.sum(axis=1), counts.sum(axis=0), table.n, bias_corrected)
+
+
+def _cramers_v(counts, rows, cols, n: int, bias_corrected: bool) -> float:
+    """Cramer's V of ``counts`` from its float64 margins and total ``n``."""
+    r, c = len(rows), len(cols)
     if min(r, c) <= 1:
         return 0.0
-    phi2 = chi_square(table) / n
+    phi2 = _chi_square(counts, rows, cols, n) / n
     if bias_corrected:
         if n <= 1:
             return 0.0
@@ -141,13 +155,14 @@ def cramers_v(table: ContingencyTable, bias_corrected: bool = False) -> float:
 
 
 def _categorize(table: Table, name: str, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column as (codes, levels) over the values that occur, numeric columns
-    quantile-binned first; V is bit-identical under any level order."""
+    """Column as dense codes over the values that occur and their float64
+    counts, its margin in every pair; numeric columns are binned first. Table
+    columns hold non-negative ints, so one ``bincount`` renumbers them."""
     values = table.columns[name]
     if table.schema.kind_of(name) == ColumnKind.NUMERIC:
         values = bin_numeric(values, n_bins)
-    levels, codes = np.unique(values, return_inverse=True)
-    return codes, levels
+    codes, counts = _dense(values)
+    return codes, counts.astype(np.float64)
 
 
 def association_matrix(
@@ -155,20 +170,23 @@ def association_matrix(
 ) -> AssociationMatrix:
     """Pairwise Cramer's V over all schema columns (target included).
 
-    Requires an imputed table. Diagonal forced to 1; the matrix is symmetric
-    by construction since each pair is computed once.
+    Requires an imputed table with rows. Diagonal forced to 1; the matrix is
+    symmetric by construction since each pair is computed once, as one
+    ``bincount`` of the two columns' codes and one chi-square.
     """
     if table.has_missing():
         raise DataError("association_matrix requires an imputed table")
+    if table.n_rows == 0:
+        raise DataError("association_matrix requires a table with rows")
     names = table.schema.names
     coded = [_categorize(table, name, n_bins) for name in names]
-    m = len(names)
-    values = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = cramers_v(_cross_tab(coded[i], coded[j]), bias_corrected=bias_corrected)
-            values[i, j] = v
-            values[j, i] = v
+    values = np.eye(len(names))
+    for i, (a, rows) in enumerate(coded):
+        for j in range(i + 1, len(names)):
+            b, cols = coded[j]
+            r, c = len(rows), len(cols)
+            counts = np.bincount(a * c + b, minlength=r * c).reshape(r, c)
+            values[i, j] = values[j, i] = _cramers_v(counts, rows, cols, table.n_rows, bias_corrected)
     return AssociationMatrix(labels=tuple(names), values=values)
 
 

@@ -232,8 +232,7 @@ def _meta(stage: str) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:

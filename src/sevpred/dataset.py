@@ -568,6 +568,8 @@ def json_fits(value, shape) -> bool:
     if isinstance(shape, range):
         return type(value) is int and value in shape
     if isinstance(shape, list):
+        if shape[0] is str:  # one flat pass: json_fits(v, str) is isinstance(v, str)
+            return isinstance(value, list) and all(isinstance(v, str) for v in value)
         return isinstance(value, list) and all(json_fits(v, shape[0]) for v in value)
     if isinstance(shape, dict):
         if not isinstance(value, dict):

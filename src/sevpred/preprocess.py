@@ -329,7 +329,7 @@ def save_splits(path: str | Path, splits: SplitIndices) -> None:
         "test": splits.test.tolist(),
     }
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_splits(path: str | Path) -> SplitIndices:
@@ -356,7 +356,7 @@ def save_preprocessor(
         "column_order": list(column_order),
     }
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_preprocessor(path: str | Path) -> tuple[OneHotCodec, Standardizer, list[str]]:

@@ -19,6 +19,7 @@ from sevpred import (
     select_features,
     write_csv,
 )
+from sevpred.dataset import SchemaSpec, Table
 from sevpred.errors import DataError, LengthMismatch
 
 
@@ -70,6 +71,29 @@ def make_table(counts):
         tuple(f"r{i}" for i in range(counts.shape[0])),
         tuple(f"c{j}" for j in range(counts.shape[1])),
     )
+
+
+@st.composite
+def coded_tables(draw):
+    """An imputed table of code columns: one whose codes miss some labels,
+    one single-level column over several labels, one free categorical, a
+    tied numeric column and a target that lacks at least one class."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 5))
+    classes = draw(st.lists(st.integers(1, k), min_size=1, max_size=k - 1, unique=True))
+    columns = {"severity": np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))}
+    labels = {}
+    for name, n_labels, n_used in (("sparse", 6, 3), ("single", 4, 1), ("free", 5, 5)):
+        used = draw(st.lists(st.integers(0, n_labels - 1), min_size=1, max_size=n_used, unique=True))
+        columns[name] = np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
+                                 dtype=np.int64)
+        labels[name] = np.array([f"{name}{i}" for i in range(n_labels)], dtype=object)
+    columns["num"] = np.array(draw(st.lists(st.sampled_from([-1.5, 0.0, 2.0, 7.25]),
+                                            min_size=n, max_size=n)), dtype=np.float64)
+    kinds = [(name, ColumnKind.CATEGORICAL) for name in labels]
+    schema = SchemaSpec((*kinds, ("num", ColumnKind.NUMERIC), ("severity", ColumnKind.TARGET)), k)
+    missing = {name: np.zeros(n, dtype=bool) for name in columns}
+    return Table(schema, columns, missing, n, labels=labels)
 
 
 class TestBinNumeric:
@@ -264,6 +288,44 @@ class TestAssociationMatrix:
                 if i != j:
                     table = build_contingency(cells[a], cells[b])
                     assert matrix.values[i, j] == cramers_v(table, bias_corrected=bias_corrected)
+
+    def test_builds_no_contingency_table(self, small_table, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a ContingencyTable was built")
+
+        monkeypatch.setattr(ContingencyTable, "__post_init__", refuse)
+        association_matrix(small_table, n_bins=5)
+        with pytest.raises(AssertionError):
+            build_contingency(["a"], ["b"])  # the patch is live
+
+    @given(coded_tables(), st.integers(2, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_match_pairwise_calls_on_random_tables(self, table, n_bins, data):
+        """Codes of unused labels, single-level columns and a target that
+        lacks a class: every entry is the pairwise V of the cells, bit for
+        bit, and recoding a column leaves the matrix bytes as they are."""
+        schema = table.schema
+        cells = {name: bin_numeric(table.columns[name], n_bins) if kind == ColumnKind.NUMERIC
+                 else table.labels[name][table.columns[name]] if name in table.labels
+                 else table.columns[name] for name, kind in schema.columns}
+        # the same cells under a permutation of every categorical column's labels
+        orders = {name: np.array(data.draw(st.permutations(range(len(labels)))))
+                  for name, labels in table.labels.items()}
+        recoded = {name: np.argsort(order)[table.columns[name]] for name, order in orders.items()}
+        relabelled = {name: table.labels[name][order] for name, order in orders.items()}
+        other = Table(schema, {**table.columns, **recoded}, table.missing, table.n_rows,
+                      labels=relabelled)
+        for name in relabelled:
+            assert (relabelled[name][recoded[name]] == cells[name]).all()
+        for bias_corrected in (False, True):
+            matrix = association_matrix(table, n_bins=n_bins, bias_corrected=bias_corrected)
+            for i, a in enumerate(matrix.labels):
+                for j, b in enumerate(matrix.labels):
+                    if i != j:
+                        v = cramers_v(build_contingency(cells[a], cells[b]), bias_corrected=bias_corrected)
+                        assert matrix.values[i, j] == v
+            assert (association_matrix(other, n_bins=n_bins, bias_corrected=bias_corrected).values.tobytes()
+                    == matrix.values.tobytes())
 
 
 class TestSelectFeatures:

@@ -122,6 +122,21 @@ class TestAssociate:
         schema = json.loads((csv_workspace / "schema.json").read_text(encoding="utf-8"))
         assert sorted(calls) == sorted(column["name"] for column in schema["columns"])
 
+    def test_header_only_csv_exit_2(self, csv_workspace, capsys):
+        """A CSV without rows is a DataError, not an all-zero matrix; with no
+        numeric column in the schema, no binning can refuse it first."""
+        schema = {"columns": [{"name": "cat_0", "kind": "categorical"},
+                              {"name": "flag", "kind": "boolean"},
+                              {"name": "severity", "kind": "target"}],
+                  "target_cardinality": 4}
+        (csv_workspace / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+        (csv_workspace / "data.csv").write_text("cat_0,flag,severity\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "associate") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert not (csv_workspace / "out" / "association_matrix.csv").exists()
+
 
 class TestPreprocessTrainChain:
     def test_full_chain_artifacts(self, csv_workspace):
