@@ -17,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ColumnKind, Table, factorize
-from .errors import DataError, LengthMismatch
+from .errors import DataError, LengthMismatch, MissingColumn
 
 DEFAULT_BINS = 10
+# the format of a saved association matrix; bump it whenever the bits
+# association_matrix gives for an imputed ingested table can change (the
+# imputation, the binning or the V arithmetic), so a matrix an older rule
+# computed is never read back
+MATRIX_FORMAT = "sevpred-assoc-1"
 
 
 @dataclass(frozen=True)
@@ -68,13 +73,18 @@ def bin_numeric(values: np.ndarray, n_bins: int) -> np.ndarray:
 
     Values equal to an edge go to the lower bin; empty bins (from duplicate
     edges under heavy ties) are collapsed so bin indices are consecutive.
-    A constant column yields a single bin for every row.
+    A constant column yields a single bin for every row; a NaN or infinite
+    value is a DataError, since it has no quantile.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DataError("cannot bin an empty column")
     if n_bins < 2:
         raise DataError("n_bins must be at least 2")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataError(f"cannot bin the non-finite value {values[row]} at row {row}")
     qs = np.arange(1, n_bins) / n_bins
     edges = np.unique(np.quantile(values, qs))
     # count of edges strictly below each value = bin index; ties land low
@@ -193,7 +203,9 @@ def association_matrix(
 def select_features(matrix: AssociationMatrix, target: str, threshold: float) -> SelectionReport:
     """Rank the other columns by their V in ``target``'s row of ``matrix`` and
     keep those with V >= threshold. Ties keep matrix order (the sort is
-    stable)."""
+    stable). MissingColumn if ``target`` is not one of the matrix's labels."""
+    if target not in matrix.labels:
+        raise MissingColumn(target)
     row = matrix.values[matrix.labels.index(target)]
     scored = [(name, float(v)) for name, v in zip(matrix.labels, row) if name != target]
     ranked = tuple(sorted(scored, key=lambda item: -item[1]))

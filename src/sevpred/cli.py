@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import association_matrix, select_features
-from .dataset import ColumnKind, Table, atomic_write, impute, ingest_csv, load_schema, summarize
-from .dataset import file_sha256, json_fits, load_json_artifact, load_table, save_table, schema_to_dict
+from .association import MATRIX_FORMAT, AssociationMatrix, association_matrix, select_features
+from .dataset import TABLE_FORMAT, ColumnKind, SchemaSpec, Table, atomic_write, impute, ingest_csv, load_schema
+from .dataset import file_sha256, json_fits, load_json_artifact, load_keyed, load_table, save_keyed, save_table
+from .dataset import schema_to_dict, summarize
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -242,28 +243,40 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_table(settings: dict, *, imputed: bool = True, require_target: bool = True) -> Table:
-    """The table of ``data.csv`` under the schema, as every stage gets it.
-
-    ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
-    key of what decides it: the sha256 of the CSV's bytes, the schema and
-    ``require_target`` (the file's format names the ingest rules). A stage
-    whose key matches reads the table back instead of parsing the CSV; a
-    cache that is absent, cut, corrupt or keyed otherwise is a miss, never an
-    error. Only a successful ingest writes the cache, and only while the
-    CSV still hashes to its key, so the work dir is not made before then.
-    """
+def _source(settings: dict) -> tuple[Path, SchemaSpec, str]:
+    """``data.csv``, its schema and the sha256 of the CSV's bytes, which keys
+    what the work dir keeps of them. A stage hashes the CSV here once."""
     csv_path, schema_path = _data_paths(settings)
     schema = load_schema(schema_path)
-    key = {"csv_sha256": file_sha256(csv_path), "schema": schema_to_dict(schema),
-           "require_target": require_target}
+    return csv_path, schema, file_sha256(csv_path)
+
+
+def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = True,
+                require_target: bool = True) -> tuple[Table, bool]:
+    """The table of ``data.csv`` under the schema, as every stage gets it,
+    and whether it is the table of the CSV bytes ``source`` (by default
+    ``_source(settings)``) hashed.
+
+    ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
+    key of what decides it: that sha256 of the CSV's bytes, the schema and
+    ``require_target`` (the file's format names the ingest rules).
+    A stage whose key matches reads the table back instead of parsing the
+    CSV; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
+    never an error. After an ingest the CSV is hashed again: only if it
+    still hashes to the key is the cache written (the work dir is not made
+    before then) and the flag true, so a stage keeps what it derives from
+    the table only then.
+    """
+    csv_path, schema, sha256 = source or _source(settings)
+    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "require_target": require_target}
     try:
-        table = load_table(Path(settings["work_dir"]) / "table.cache", schema, key)
+        table, keyed = load_table(Path(settings["work_dir"]) / "table.cache", schema, key), True
     except (OSError, DataError):
         table = ingest_csv(csv_path, schema, require_target=require_target)
-        if file_sha256(csv_path) == key["csv_sha256"]:  # not rewritten while it was parsed
+        keyed = file_sha256(csv_path) == sha256  # not rewritten while it was parsed
+        if keyed:
             save_table(_work_dir(settings) / "table.cache", table, key)
-    return impute(table) if imputed else table
+    return (impute(table) if imputed else table), keyed
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -275,7 +288,7 @@ def _require(path: Path, hint: str) -> Path:
 # -- stages ---------------------------------------------------------------------
 
 def stage_stats(settings: dict) -> dict:
-    table = _load_table(settings, imputed=False)
+    table, _ = _load_table(settings, imputed=False)
     payload = summarize(table)
     payload["meta"] = _meta("stats")
     _write_json(_work_dir(settings) / "stats.json", payload)
@@ -283,18 +296,42 @@ def stage_stats(settings: dict) -> dict:
 
 
 def stage_associate(settings: dict) -> dict:
-    table = _load_table(settings)
+    """Cramer's V over every schema column and the selection it implies.
+
+    The matrix is kept in ``<work_dir>/association.cache`` under a key of
+    what decides it: the CSV's sha256, the schema, ``n_bins``,
+    ``bias_corrected`` and the table format (the file's format names the
+    matrix rules). The threshold is not in the key. A stage whose key
+    matches writes both artifacts from the kept matrix without reading the
+    table; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
+    never an error. A miss computes the matrix from ``_load_table``'s table
+    and keeps it only if that table is the keyed CSV's.
+    """
+    source = _source(settings)
+    _, schema, sha256 = source
     assoc_cfg = settings["association"]
-    matrix = association_matrix(
-        table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
-    )
+    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "n_bins": assoc_cfg["n_bins"],
+           "bias_corrected": assoc_cfg["bias_corrected"], "table_format": TABLE_FORMAT}
+    n = len(schema.names)
+    try:
+        _, (values,) = load_keyed(Path(settings["work_dir"]) / "association.cache", MATRIX_FORMAT, key,
+                                  "matrix", {}, lambda _: [("<f8", n * n)])
+        matrix = AssociationMatrix(tuple(schema.names), values.reshape(n, n))
+    except (OSError, DataError):
+        table, keyed = _load_table(settings, source)
+        matrix = association_matrix(
+            table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
+        )
+        if keyed:
+            save_keyed(_work_dir(settings) / "association.cache", MATRIX_FORMAT, key, {},
+                       [("<f8", matrix.values)])
     rows = [
         [label, *[repr(float(v)) for v in matrix.values[i]]]
         for i, label in enumerate(matrix.labels)
     ]
     work = _work_dir(settings)
     _write_csv_rows(work / "association_matrix.csv", ["", *matrix.labels], rows)
-    report = select_features(matrix, table.schema.target, assoc_cfg["threshold"])
+    report = select_features(matrix, schema.target, assoc_cfg["threshold"])
     payload = {
         "threshold": report.threshold,
         "ranked": [[name, v] for name, v in report.ranked],
@@ -306,7 +343,7 @@ def stage_associate(settings: dict) -> dict:
 
 
 def stage_preprocess(settings: dict) -> dict:
-    table = _load_table(settings)
+    table, _ = _load_table(settings)
     work = _work_dir(settings)
     selection = _require(work / "selection.json", "sevpred associate")
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
@@ -519,7 +556,7 @@ def stage_predict(settings: dict) -> dict:
     work = _work_dir(settings)
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    table = _load_table(settings, require_target=False)
+    table, _ = _load_table(settings, require_target=False)
     codec, standardizer, column_order = load_preprocessor(
         _require(work / "preprocessor.json", "sevpred preprocess")
     )

@@ -145,8 +145,11 @@ class Table:
         tgt = self.schema.target
         if self.missing[tgt].any():
             raise DataError("target column must have no missing cells")
+        t = self.columns[tgt]
+        # labels count through bincount, which takes only int64-castable ints
+        if t.dtype.kind not in "iu" or not np.can_cast(t.dtype, np.int64):
+            raise DataError(f"target column must hold integer labels, got dtype {t.dtype}")
         if self.n_rows:
-            t = self.columns[tgt]
             bad = (t < 1) | (t > self.schema.target_cardinality)
             if bad.any():
                 row = int(np.flatnonzero(bad)[0])
@@ -638,50 +641,69 @@ def _table_sections(schema: SchemaSpec, n_rows: int) -> list[tuple[str, int]]:
     return [(dtypes.get(kind, "<i4"), n_rows) for _, kind in schema.columns]
 
 
-def _table_digest(body: dict, arrays) -> str:
-    """sha256 of a saved table's manifest fields (all but its digest) and data."""
+def _keyed_digest(body: dict, arrays) -> str:
+    """sha256 of a keyed file's manifest fields (all but its digest) and data."""
     digest = hashlib.sha256(json.dumps(body).encode("utf-8"))
     for a in arrays:
         digest.update(a.view(np.uint8))
     return digest.hexdigest()
 
 
+def save_keyed(path: str | Path, fmt: str, key: dict, fields: dict, sections) -> None:
+    """Write each ``(dtype, array)`` section under ``key``, the JSON of what
+    decided the data: one manifest line with the format ``fmt``, the key,
+    ``fields`` and a sha256 of all of those and the data, then the sections
+    as in :func:`save_blob`. The work dir's caches are such files."""
+    arrays = [np.ascontiguousarray(a, dtype=dtype).reshape(-1) for dtype, a in sections]
+    manifest = {"format": fmt, "key": key, **fields}
+    manifest["sha256"] = _keyed_digest(manifest, arrays)
+    save_blob(path, manifest, [(a.dtype, a) for a in arrays])
+
+
+def load_keyed(path: str | Path, fmt: str, key: dict, kind: str, shape: dict,
+               sections) -> tuple[dict, list[np.ndarray]]:
+    """The manifest (without its sha256) and flat arrays that
+    :func:`save_keyed` wrote to ``path`` under ``key``; DataError if the
+    file is cut or corrupt, names another format or key, has a field that
+    does not fit the ``json_fits`` ``shape``, or fails its sha256.
+    ``sections(manifest)`` gives the ``(dtype, count)`` sections."""
+    with open(path, "rb") as fh:
+        manifest = read_manifest(fh, path, (fmt,), kind)
+        if not (manifest.get("key") == key and json_fits(manifest, {**shape, "sha256": str})):
+            raise DataError(f"{path}: not a {kind} saved under this key")
+        arrays = read_arrays(fh, path, sections(manifest))
+    sha256 = manifest.pop("sha256")
+    if _keyed_digest(manifest, arrays) != sha256:
+        raise DataError(f"{path}: {kind} does not match its sha256")
+    return manifest, arrays
+
+
 def save_table(path: str | Path, table: Table, key: dict) -> None:
-    """Write an ingested (not imputed) ``table`` under ``key``, the JSON of
-    what decided it: one manifest line with the key, ``n_rows``,
-    ``n_dropped``, each categorical column's labels and a sha256 of those
-    fields and the data, then one section per column (see
+    """Write an ingested (not imputed) ``table`` under ``key`` with
+    :func:`save_keyed`: the manifest holds ``n_rows``, ``n_dropped`` and each
+    categorical column's labels, the data one section per column (see
     ``_table_sections``)."""
-    manifest = {
-        "format": TABLE_FORMAT,
-        "key": key,
+    fields = {
         "n_rows": table.n_rows,
         "n_dropped": table.n_dropped,
         "labels": {name: labels.tolist() for name, labels in table.labels.items()},
     }
-    arrays = [np.ascontiguousarray(table.columns[name], dtype=dtype)
-              for name, (dtype, _) in zip(table.schema.names, _table_sections(table.schema, table.n_rows))]
-    manifest["sha256"] = _table_digest(manifest, arrays)
-    save_blob(path, manifest, [(a.dtype, a) for a in arrays])
+    sections = _table_sections(table.schema, table.n_rows)
+    save_keyed(path, TABLE_FORMAT, key, fields,
+               [(dtype, table.columns[name]) for name, (dtype, _) in zip(table.schema.names, sections)])
 
 
 def load_table(path: str | Path, schema: SchemaSpec, key: dict) -> Table:
     """The table :func:`save_table` wrote to ``path`` under ``key``, as
-    ``ingest_csv`` returned it; DataError if the file is cut or corrupt,
-    holds another key or columns other than ``schema``'s, or fails its
-    sha256."""
-    with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, (TABLE_FORMAT,), "table")
-        categorical = [name for name, kind in schema.columns
-                       if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)]
-        shape = {"n_rows": range(2**63), "n_dropped": range(2**63), "labels": {str: [str]}, "sha256": str}
-        if not (manifest.get("key") == key and json_fits(manifest, shape)
-                and list(manifest["labels"]) == categorical):
-            raise DataError(f"{path}: not a table saved under this key")
-        arrays = read_arrays(fh, path, _table_sections(schema, manifest["n_rows"]))
-    sha256 = manifest.pop("sha256")
-    if _table_digest(manifest, arrays) != sha256:
-        raise DataError(f"{path}: table does not match its sha256")
+    ``ingest_csv`` returned it; DataError if :func:`load_keyed` refuses the
+    file or it holds columns other than ``schema``'s."""
+    shape = {"n_rows": range(2**63), "n_dropped": range(2**63), "labels": {str: [str]}}
+    manifest, arrays = load_keyed(path, TABLE_FORMAT, key, "table", shape,
+                                  lambda m: _table_sections(schema, m["n_rows"]))
+    categorical = [name for name, kind in schema.columns
+                   if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)]
+    if list(manifest["labels"]) != categorical:
+        raise DataError(f"{path}: not a table saved under this key")
     labels = {name: np.array(values, dtype=object) for name, values in manifest["labels"].items()}
     columns = {}
     for name in schema.names:

@@ -20,7 +20,7 @@ from sevpred import (
     write_csv,
 )
 from sevpred.dataset import SchemaSpec, Table
-from sevpred.errors import DataError, LengthMismatch
+from sevpred.errors import DataError, LengthMismatch, MissingColumn
 
 
 # -- independent oracles -------------------------------------------------------
@@ -128,6 +128,25 @@ class TestBinNumeric:
             bin_numeric(np.array([]), 2)
         with pytest.raises(DataError):
             bin_numeric(np.array([1.0]), 1)
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite value has no quantile: binning it is a DataError,
+    where NaN once put every row in bin 0 and so gave V = 0 in every pair."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bin_numeric_rejects(self, bad):
+        with pytest.raises(DataError, match="non-finite value .* at row 1"):
+            bin_numeric([1.0, bad, 2.0, 3.0], 2)
+
+    def test_unflagged_nan_in_a_table_is_a_data_error(self):
+        table = generate_synthetic(SyntheticSpec(200, (0.5, 0.5), 2, 1, seed=3))
+        values = table.columns["num_1"].copy()
+        values[17] = np.nan  # its missing mask still says observed
+        table = replace(table, columns={**table.columns, "num_1": values})
+        assert not table.has_missing()
+        with pytest.raises(DataError, match="non-finite"):
+            association_matrix(table, n_bins=4)
 
 
 class TestContingency:
@@ -335,6 +354,11 @@ class TestSelectFeatures:
         labels = {n: v for n, v in table.labels.items() if n != "cat_0"}
         cells = np.array([f"t{v}" for v in table.target], dtype=object)
         return replace(table, columns={**table.columns, "cat_0": cells}, labels=labels)
+
+    def test_absent_target_is_missing_column(self, small_table):
+        matrix = association_matrix(small_table, n_bins=4)
+        with pytest.raises(MissingColumn, match="'absent'"):
+            select_features(matrix, "absent", 0.2)
 
     def test_threshold_zero_selects_all(self, small_table):
         report = select_features(association_matrix(small_table, n_bins=4), "severity", 0.0)

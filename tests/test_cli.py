@@ -617,6 +617,101 @@ class TestTableCache:
         assert len(rows) == 400
 
 
+@pytest.fixture
+def matrices(monkeypatch):
+    """The tables the CLI passes to ``association_matrix``."""
+    calls = []
+    compute = cli.association_matrix
+
+    def counted(table, *args, **kwargs):
+        calls.append(table)
+        return compute(table, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "association_matrix", counted)
+    return calls
+
+
+def associate_outputs(root, capsys, *args):
+    """What ``associate`` prints and writes (without "meta"), run in ``root``'s
+    work dir or the one ``--work-dir`` in ``args`` names."""
+    capsys.readouterr()
+    assert run_cmd(root, "associate", *args) == 0
+    printed = strip_meta(json.loads(capsys.readouterr().out))
+    work = Path(args[args.index("--work-dir") + 1]) if "--work-dir" in args else root / "out"
+    selection = strip_meta(json.loads((work / "selection.json").read_bytes()))
+    return printed, selection, (work / "association_matrix.csv").read_bytes()
+
+
+class TestAssociationCache:
+    """``associate`` writes its artifacts from ``association.cache`` while
+    the CSV's bytes, the schema, ``n_bins`` and ``bias_corrected`` are
+    unchanged; the threshold is not part of the key."""
+
+    def test_second_associate_computes_nothing(self, csv_workspace, capsys, ingests, matrices, monkeypatch):
+        first = associate_outputs(csv_workspace, capsys)
+        assert (len(matrices), len(ingests)) == (1, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit read the table")
+
+        monkeypatch.setattr(cli, "_load_table", refuse)
+        monkeypatch.setattr(cli, "impute", refuse)
+        assert associate_outputs(csv_workspace, capsys) == first
+        assert (len(matrices), len(ingests)) == (1, 1)
+
+    def test_threshold_change_matches_fresh_dir(self, csv_workspace, capsys, matrices):
+        associate_outputs(csv_workspace, capsys)
+        warm = associate_outputs(csv_workspace, capsys, "--set", "association.threshold=0.1")
+        assert len(matrices) == 1
+        fresh = associate_outputs(csv_workspace, capsys, "--set", "association.threshold=0.1",
+                                  "--work-dir", str(csv_workspace / "fresh"))
+        assert warm == fresh
+        assert warm[1]["threshold"] == 0.1
+
+    @pytest.mark.parametrize("edit", ["n_bins", "bias_corrected", "csv-cell", "schema-kind"])
+    def test_changed_key_recomputes(self, csv_workspace, capsys, matrices, edit):
+        """Each part of the key, changed alone, recomputes the matrix, and
+        the outputs are what a fresh work dir gives."""
+        associate_outputs(csv_workspace, capsys)
+        args = ()
+        if edit == "n_bins":
+            args = ("--set", "association.n_bins=4")
+        elif edit == "bias_corrected":
+            args = ("--set", "association.bias_corrected=true")
+        elif edit == "csv-cell":
+            path = csv_workspace / "data.csv"
+            text = path.read_text(encoding="utf-8")
+            at = text.index("\n") + 1
+            at = next(i for i in range(at, len(text)) if text[i].isdigit())
+            path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:], encoding="utf-8")
+        else:
+            path = csv_workspace / "schema.json"
+            path.write_text(path.read_text(encoding="utf-8").replace('"categorical"', '"boolean"', 1),
+                            encoding="utf-8")
+        warm = associate_outputs(csv_workspace, capsys, *args)
+        assert len(matrices) == 2
+        fresh = associate_outputs(csv_workspace, capsys, *args, "--work-dir", str(csv_workspace / "fresh"))
+        assert warm == fresh
+
+    def test_cache_is_not_written_when_the_csv_changes_during_the_read(self, csv_workspace, capsys,
+                                                                        monkeypatch):
+        """A CSV rewritten while it is parsed no longer hashes to the key
+        the stage computed, so neither cache keeps what was read."""
+        ingest = cli.ingest_csv
+
+        def rewriting(path, *args, **kwargs):
+            table = ingest(path, *args, **kwargs)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return table
+
+        monkeypatch.setattr(cli, "ingest_csv", rewriting)
+        associate_outputs(csv_workspace, capsys)
+        out = csv_workspace / "out"
+        assert not (out / "association.cache").exists()
+        assert not (out / "table.cache").exists()
+
+
 class TestConfigPlumbing:
     def test_set_leaves_defaults_unchanged(self, csv_workspace):
         snapshot = copy.deepcopy(DEFAULTS)
@@ -1088,3 +1183,52 @@ class TestDamagedTableCache:
         damaged = bytearray(whole)
         damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
         assert self.rerun_stats(root, bytes(damaged)) == (outputs, whole)
+
+
+@pytest.fixture(scope="module")
+def associated_workspace(tmp_path_factory):
+    """A workspace after ``associate``: the root, what associate printed and
+    wrote (without "meta"), and the association.cache it left."""
+    root = write_workspace(tmp_path_factory.mktemp("associated"), make_small_table())
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cmd(root, "associate") == 0
+    out = root / "out"
+    outputs = (strip_meta(json.loads(printed.getvalue())), strip_meta(read_json(root, "selection.json")),
+               (out / "association_matrix.csv").read_bytes())
+    return root, outputs, (out / "association.cache").read_bytes()
+
+
+class TestDamagedAssociationCache:
+    """association.cache, like table.cache, is a copy of what the stage
+    made, not an input: a cut or corrupt cache is a miss, never an error.
+    The next ``associate`` recomputes the matrix, exits 0 with the same
+    outputs and rewrites the cache whole."""
+
+    @staticmethod
+    def rerun_associate(root, damaged: bytes):
+        out = root / "out"
+        path = out / "association.cache"
+        path.write_bytes(damaged)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run_cmd(root, "associate") == 0
+        outputs = (strip_meta(json.loads(printed.getvalue())), strip_meta(read_json(root, "selection.json")),
+                   (out / "association_matrix.csv").read_bytes())
+        return outputs, path.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cut_cache_is_a_miss(self, associated_workspace, data):
+        root, outputs, whole = associated_workspace
+        offset = data.draw(st.integers(0, len(whole) - 1), label="offset")
+        assert self.rerun_associate(root, whole[:offset]) == (outputs, whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_flipped_data_byte_is_a_miss(self, associated_workspace, data):
+        root, outputs, whole = associated_workspace
+        offset = data.draw(st.integers(whole.index(b"\n") + 1, len(whole) - 1), label="offset")
+        damaged = bytearray(whole)
+        damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
+        assert self.rerun_associate(root, bytes(damaged)) == (outputs, whole)

@@ -471,6 +471,34 @@ class TestTable:
         assert columns["City"] is city
         assert city.tolist() == ["A", "B", "A"]
 
+    @pytest.mark.parametrize("target", [
+        np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5, 3.0]), np.array([1, 2, 3], dtype=np.uint64),
+        np.array([True, True, True]), np.array([1, 2, 3], dtype=object),
+    ])
+    def test_non_integer_target_is_a_data_error(self, target):
+        """Labels must be int64-castable integers: a float target once
+        passed the 1..K check and ended class_distribution and
+        association_matrix in a numpy TypeError."""
+        columns = {
+            "Temperature": np.zeros(3),
+            "City": np.asarray(["A", "B", "A"], dtype=object),
+            "Signal": np.asarray(["t"] * 3, dtype=object),
+            "Severity": target,
+        }
+        with pytest.raises(DataError, match="integer labels"):
+            Table(SCHEMA, columns, {n: np.zeros(3, dtype=bool) for n in SCHEMA.names}, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint32])
+    def test_integer_targets_count(self, dtype):
+        columns = {
+            "Temperature": np.zeros(3),
+            "City": np.asarray(["A", "B", "A"], dtype=object),
+            "Signal": np.asarray(["t"] * 3, dtype=object),
+            "Severity": np.array([1, 2, 2], dtype=dtype),
+        }
+        table = Table(SCHEMA, columns, {n: np.zeros(3, dtype=bool) for n in SCHEMA.names}, 3)
+        np.testing.assert_allclose(class_distribution(table), [1 / 3, 2 / 3, 0, 0])
+
 
 class TestClassDistribution:
     def test_counting(self):
