@@ -251,15 +251,14 @@ def _source(settings: dict) -> tuple[Path, SchemaSpec, str]:
     return csv_path, schema, file_sha256(csv_path)
 
 
-def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = True,
-                require_target: bool = True) -> tuple[Table, bool]:
-    """The table of ``data.csv`` under the schema, as every stage gets it,
-    and whether it is the table of the CSV bytes ``source`` (by default
-    ``_source(settings)``) hashed.
+def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = True) -> tuple[Table, bool]:
+    """The labeled table of ``data.csv`` under the schema, as ``stats``,
+    ``associate`` and ``preprocess`` get it, and whether it is the table of
+    the CSV bytes ``source`` (by default ``_source(settings)``) hashed.
 
     ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
-    key of what decides it: that sha256 of the CSV's bytes, the schema and
-    ``require_target`` (the file's format names the ingest rules).
+    key of what decides it: that sha256 of the CSV's bytes and the schema
+    (the file's format names the ingest rules).
     A stage whose key matches reads the table back instead of parsing the
     CSV; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
     never an error. After an ingest the CSV is hashed again: only if it
@@ -268,11 +267,11 @@ def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = 
     the table only then.
     """
     csv_path, schema, sha256 = source or _source(settings)
-    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "require_target": require_target}
+    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema)}
     try:
         table, keyed = load_table(Path(settings["work_dir"]) / "table.cache", schema, key), True
     except (OSError, DataError):
-        table = ingest_csv(csv_path, schema, require_target=require_target)
+        table = ingest_csv(csv_path, schema)
         keyed = file_sha256(csv_path) == sha256  # not rewritten while it was parsed
         if keyed:
             save_table(_work_dir(settings) / "table.cache", table, key)
@@ -556,7 +555,9 @@ def stage_predict(settings: dict) -> dict:
     work = _work_dir(settings)
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    table, _ = _load_table(settings, require_target=False)
+    # read directly: a table without its target would evict the labeled one
+    csv_path, schema_path = _data_paths(settings)
+    table = impute(ingest_csv(csv_path, load_schema(schema_path), require_target=False))
     codec, standardizer, column_order = load_preprocessor(
         _require(work / "preprocessor.json", "sevpred preprocess")
     )

@@ -248,9 +248,9 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     header and is never read when present: every data line is kept
     (``n_dropped`` is 0) with the placeholder label 1, as ``predict`` needs.
 
-    The CLI saves the result with :func:`save_table` and reads it back while
-    the CSV's bytes, the schema and ``require_target`` are unchanged, so a
-    change to these rules must bump ``TABLE_FORMAT``.
+    The CLI saves a labeled table with :func:`save_table` and reads it back
+    while the CSV's bytes and the schema are unchanged, so a change to these
+    rules must bump ``TABLE_FORMAT``; ``predict``'s table is never saved.
     """
     target_name, k = schema.target, schema.target_cardinality
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:

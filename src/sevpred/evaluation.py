@@ -160,7 +160,8 @@ def cross_validate(
     labels,
     k: int = 10,
     seed: int = 0,
-    n_classes: int | None = None,
+    *,
+    n_classes: int,
 ) -> CVResult:
     """Repeat the experiment k times on stratified folds.
 
@@ -172,8 +173,6 @@ def cross_validate(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(labels.max())
     folds = stratified_folds(labels, k, derive_seed(seed, "folds"))
     reports = []
     for i, eval_idx in enumerate(folds):
@@ -256,8 +255,8 @@ def grid_search(
     base_config=None,
     class_weights=None,
     seed: int = 0,
-    n_classes: int | None = None,
     *,
+    n_classes: int,
     jobs: int = 1,
 ) -> list[GridCellResult]:
     """Train one classifier per grid cell and rank by validation BER.
@@ -277,8 +276,6 @@ def grid_search(
         raise DataError("grid_search runs serially")
     train_y = np.asarray(train_y, dtype=np.int64)
     val_y = np.asarray(val_y, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(max(train_y.max(), val_y.max()))
     base = base_config if base_config is not None else ClassifierConfig()
     results = []
     for i, cell in enumerate(grid.cells()):

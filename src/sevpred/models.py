@@ -219,8 +219,8 @@ def encode(spec: NetworkSpec, params: Parameters, data) -> FeatureMatrix:
     x = _feature_values(data)
     if x.shape[1] != enc.input_dim:
         raise WidthMismatch(f"data width {x.shape[1]} != encoder input {enc.input_dim}")
-    layout = params.layout[: len(params.layout) // 2]
-    enc_params = Parameters.wrap(params.flat[: layout[-1][1]], layout)
+    # the encoder's layout is the first half of the autoencoder's
+    enc_params = Parameters(params.flat[: enc.layout[-1][1]], enc.layout)
     out, _ = forward(enc, enc_params, x, mode="infer")
     return FeatureMatrix(out, tuple(f"latent_{i}" for i in range(out.shape[1])))
 
@@ -280,7 +280,8 @@ def train_classifier(
     val_x,
     val_y,
     class_weights: ClassWeights | None = None,
-    n_classes: int | None = None,
+    *,
+    n_classes: int,
 ) -> tuple[Parameters, dict]:
     """Train with weighted cross-entropy, checkpointing the epoch with the
     lowest validation BER.
@@ -295,8 +296,6 @@ def train_classifier(
     val_y = np.asarray(val_y, dtype=np.int64)
     if train_x.shape[1] != val_x.shape[1]:
         raise WidthMismatch(f"train width {train_x.shape[1]} != val width {val_x.shape[1]}")
-    if n_classes is None:
-        n_classes = int(max(train_y.max(), val_y.max()))
     for name, y in (("train", train_y), ("val", val_y)):
         if ((y < 1) | (y > n_classes)).any():
             raise LabelOutOfRange(f"{name} labels must lie in 1..{n_classes}")
@@ -331,14 +330,11 @@ def train_classifier(
         cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate, on_epoch,
     )
     history["best_epoch"] = best["epoch"]
-    return Parameters.wrap(checkpoint, params.layout), history
+    return Parameters(checkpoint, params.layout), history
 
 
 def predict(params: Parameters, spec: NetworkSpec, features) -> np.ndarray:
     """Per-row argmax of the softmax output as 1-based labels; exact ties
     break toward the lower class index."""
-    x = _feature_values(features)
-    if x.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    probs, _ = forward(spec, params, x, mode="infer")
+    probs, _ = forward(spec, params, _feature_values(features), mode="infer")
     return np.argmax(probs, axis=1).astype(np.int64) + 1

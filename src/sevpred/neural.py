@@ -5,9 +5,10 @@ dropout, L2 weight decay, class-weighted cross-entropy and mean-squared-error
 losses, an adaptive-moment optimizer, and a finite-difference gradient
 checker. No GPU, no mixed precision: desk-scale sizes keep 64-bit cheap and
 make gradient checks meaningful. Weights and biases live in one flat buffer,
-``Parameters.flat``, with per-layer views; gradients, the optimizer's moments
-and a model file's blob share its layout. The optimizer updates that buffer
-and its moments in place, so a trainer that keeps a checkpoint copies it.
+``Parameters.flat``, with per-layer views; the spec alone decides its layout
+(``NetworkSpec.layout``), which gradients, the optimizer's moments and a
+model file's blob share. The optimizer updates that buffer and its moments
+in place, so a trainer that keeps a checkpoint copies it.
 ``backward`` consumes its forward cache: it writes each carried gradient into
 the activation buffer that it is the gradient of, so a training step's
 working set is the forward pass's activations.
@@ -93,35 +94,27 @@ class NetworkSpec:
     def output_dim(self) -> int:
         return self.dense_layers()[-1].fan_out
 
-
-def _layout(shapes) -> tuple:
-    """(start, stop, shape) of each array in one flat buffer, packed in order."""
-    layout, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        layout.append((start, stop, shape))
-        start = stop
-    return tuple(layout)
+    @property
+    def layout(self) -> tuple:
+        """(start, stop, shape) of each dense layer's weight matrix and then
+        its bias vector in one flat buffer, in model-file order; the last
+        stop is the parameter count."""
+        layout, start = [], 0
+        for d in self.dense_layers():
+            for shape in ((d.fan_in, d.fan_out), (d.fan_out,)):
+                stop = start + math.prod(shape)
+                layout.append((start, stop, shape))
+                start = stop
+        return tuple(layout)
 
 
 class Parameters:
     """Per-dense-layer weight matrices (fan_in x fan_out) and bias vectors, as
-    views into one contiguous float64 buffer ``flat`` in model-file order
-    (W0, b0, W1, b1, ...): a write through either side shows in the other."""
+    views into one float64 buffer ``flat`` through a spec's ``layout`` (W0,
+    b0, W1, b1, ...): the buffer is viewed, not copied, so a write through
+    either side shows in the other."""
 
-    def __init__(self, weights, biases):
-        arrays = [a for pair in zip(weights, biases) for a in pair]
-        flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64, copy=False)
-        self._bind(flat, _layout(np.shape(a) for a in arrays))
-
-    @classmethod
-    def wrap(cls, flat: np.ndarray, layout: tuple) -> "Parameters":
-        """Parameters viewing an existing buffer through a known layout."""
-        params = cls.__new__(cls)
-        params._bind(flat, layout)
-        return params
-
-    def _bind(self, flat: np.ndarray, layout: tuple) -> None:
+    def __init__(self, flat: np.ndarray, layout: tuple):
         self.flat, self.layout = flat, layout
         views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
         self.weights, self.biases = views[0::2], views[1::2]
@@ -129,17 +122,21 @@ class Parameters:
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> Parameters:
     """He-uniform for relu layers (limit sqrt(6/fan_in)), Glorot-uniform
-    otherwise (limit sqrt(6/(fan_in+fan_out))); biases start at zero."""
+    otherwise (limit sqrt(6/(fan_in+fan_out))); biases start at zero. Each
+    weight matrix is drawn, in layer order, into its view of the one buffer
+    this allocates."""
     rng = make_rng(seed)
-    weights, biases = [], []
-    for layer in spec.dense_layers():
+    params = Parameters(np.zeros(spec.layout[-1][1]), spec.layout)
+    for layer, w in zip(spec.dense_layers(), params.weights):
         if layer.activation == "relu":
             limit = np.sqrt(6.0 / layer.fan_in)
         else:
             limit = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(layer.fan_in, layer.fan_out)))
-        biases.append(np.zeros(layer.fan_out))
-    return Parameters(weights, biases)
+        # rng.uniform(-limit, limit)'s draw, low + (high - low) * u, made in place
+        rng.random(out=w)
+        w *= 2 * limit
+        w -= limit
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -309,7 +306,7 @@ def backward(
     else:
         raise DataError(f"unknown loss kind {loss_kind!r}")
 
-    grads = Parameters.wrap(np.zeros(params.flat.size), params.layout)
+    grads = Parameters(np.zeros(params.flat.size), params.layout)
     dense_idx = len(dense) - 1
     for layer in reversed(spec.layers):
         record = cache.records.pop()
@@ -511,6 +508,5 @@ def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
             spec = spec_from_dict(manifest.get("spec"))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-        layout = _layout(s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,)))
-        (flat,) = read_arrays(fh, path, [("<f8", layout[-1][1])])
-    return spec, Parameters.wrap(flat, layout), manifest.get("meta", {})
+        (flat,) = read_arrays(fh, path, [("<f8", spec.layout[-1][1])])
+    return spec, Parameters(flat, spec.layout), manifest.get("meta", {})

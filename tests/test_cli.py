@@ -540,8 +540,9 @@ def ingests(monkeypatch):
 
 
 class TestTableCache:
-    """A stage reads ``data.csv``'s table back from ``table.cache`` while
-    the CSV's bytes, the schema and ``require_target`` are unchanged."""
+    """A labeled stage reads ``data.csv``'s table back from ``table.cache``
+    while the CSV's bytes and the schema are unchanged; ``predict`` parses
+    its CSV directly and leaves the cache alone."""
 
     def test_second_associate_does_not_ingest(self, csv_workspace, ingests):
         assert run_cmd(csv_workspace, "associate") == 0
@@ -554,8 +555,8 @@ class TestTableCache:
         assert len(ingests) == 1
 
     def test_warm_and_cold_runs_match(self, messy_workspace, capsys, ingests):
-        """Deleting table.cache before every stage changes no artifact and
-        no stdout; kept, it spares every ingest but the first of each key."""
+        """Deleting table.cache before every stage changes no other artifact
+        and no stdout; kept, it spares every labeled ingest but the first."""
         out = messy_workspace / "out"
         runs, counts = {}, {}
         for warm in (False, True):
@@ -569,12 +570,30 @@ class TestTableCache:
                 printed[stage] = strip_meta(json.loads(capsys.readouterr().out))
             files = {p.name: strip_meta(json.loads(p.read_bytes())) if p.suffix == ".json" else p.read_bytes()
                      for p in out.iterdir()}
+            kept = files.pop("table.cache", None)
             runs[warm], counts[warm] = (printed, files), len(ingests)
             shutil.rmtree(out)
         assert runs[False] == runs[True]
-        assert "table.cache" in runs[True][1]
-        # predict reads the table without its target: a second key
+        assert kept is not None  # of the warm run, the last
+        # predict reads the CSV without its target, past the cache
         assert counts == {False: 4, True: 2}
+
+    def test_predict_between_labeled_stages_keeps_the_cache(self, csv_workspace, ingests):
+        """The labeled table survives predict: the chain parses the CSV once
+        for the labeled stages and once for predict."""
+        for cmd in ("associate", "preprocess", "train", "predict", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        assert len(ingests) == 2
+
+    def test_predict_on_another_csv_leaves_the_cache(self, csv_workspace, tmp_path):
+        for cmd in ("associate", "preprocess", "train"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        cache = csv_workspace / "out" / "table.cache"
+        before = cache.read_bytes()
+        copy_path = tmp_path / "copy.csv"
+        shutil.copyfile(csv_workspace / "data.csv", copy_path)
+        assert run_cmd(csv_workspace, "predict", "--set", f"data.csv={copy_path}") == 0
+        assert cache.read_bytes() == before
 
     @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind"])
     def test_changed_input_reingests(self, csv_workspace, capsys, ingests, edit):
@@ -601,8 +620,8 @@ class TestTableCache:
             assert warm["columns"]["cat_0"]["kind"] == "boolean"
 
     def test_predict_reingests_without_the_target(self, csv_workspace, ingests):
-        """The labeled table drops a blank-target line; predict's table,
-        keyed by require_target=False, scores it."""
+        """The labeled table drops a blank-target line; predict, which reads
+        the CSV without its target, scores it."""
         path = csv_workspace / "data.csv"
         header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
         assert header.endswith(",severity")

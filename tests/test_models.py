@@ -306,7 +306,7 @@ class TestPredict:
         from sevpred.neural import Dense, NetworkSpec, Parameters
 
         spec = NetworkSpec((Dense(2, 2, "softmax"),))
-        params = Parameters([np.zeros((2, 2))], [np.zeros(2)])
+        params = Parameters(np.zeros(6), spec.layout)
         preds = predict(params, spec, np.ones((3, 2)))
         assert preds.tolist() == [1, 1, 1]
 
@@ -323,6 +323,6 @@ class TestPredict:
         b = rng.normal(size=4)
         x = rng.normal(size=(50, 6))
         spec = NetworkSpec((Dense(6, 4, "softmax"),))
-        base = predict(Parameters([w], [b]), spec, x)
-        scaled = predict(Parameters([w * 3.0], [b * 3.0 + 1.5]), spec, x)
+        base = predict(Parameters(np.append(w, b), spec.layout), spec, x)
+        scaled = predict(Parameters(np.append(w * 3.0, b * 3.0 + 1.5), spec.layout), spec, x)
         np.testing.assert_array_equal(base, scaled)

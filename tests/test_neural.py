@@ -406,6 +406,13 @@ class TestMemoryBudget:
         peak = traced_peak(lambda: train_classifier(cfg, x[:600], y[:600], x[600:], y[600:], n_classes=4))
         assert peak <= 7.3 * params.flat.nbytes
 
+    def test_init_params(self):
+        # the zeroed buffer alone: each weight matrix is drawn in its view,
+        # not into an array of its own that a concatenation then copies
+        spec = build_classifier(ClassifierConfig(initial_neurons=256), input_dim=256, n_classes=4)
+        n_bytes = spec.layout[-1][1] * 8
+        assert traced_peak(lambda: init_params(spec, seed=1)) <= 1.1 * n_bytes
+
     def test_infer_forward(self, net):
         spec, params, x, _ = net
         assert traced_peak(lambda: forward(spec, params, x, mode="infer")) <= 2 * x.nbytes
@@ -414,7 +421,7 @@ class TestMemoryBudget:
         # m, v and flat update in place; only a block's scratch buffer and
         # update are allocated, not full-size results (4x at most)
         _, params, _, _ = net
-        grads = Parameters.wrap(np.ones_like(params.flat), params.layout)
+        grads = Parameters(np.ones_like(params.flat), params.layout)
         state = init_optimizer(params)
         assert traced_peak(lambda: adam_step(params, grads, state)) <= 2.5 * params.flat.nbytes
 
@@ -432,7 +439,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params, state = self.make()
         before = params.flat.copy()
-        zero = Parameters.wrap(np.zeros_like(params.flat), params.layout)
+        zero = Parameters(np.zeros_like(params.flat), params.layout)
         assert adam_step(params, zero, state) is None
         np.testing.assert_array_equal(params.flat, before)
         assert state.step == 1
@@ -441,10 +448,8 @@ class TestAdam:
         params, state = self.make()
         before = params.weights[0].copy()
         rng = np.random.default_rng(8)
-        grads = type(params)(
-            [rng.normal(size=w.shape) for w in params.weights],
-            [rng.normal(size=b.shape) for b in params.biases],
-        )
+        # one layer: W0's draws, then b0's, fill the buffer in order
+        grads = Parameters(rng.normal(size=params.flat.size), params.layout)
         adam_step(params, grads, state)
         # bias-corrected first step: delta = lr * g / (|g| + eps) ~ lr * sign(g)
         delta = params.weights[0] - before
@@ -454,7 +459,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             params, state = self.make()
-            grads = Parameters.wrap(np.ones_like(params.flat), params.layout)
+            grads = Parameters(np.ones_like(params.flat), params.layout)
             adam_step(params, grads, state)
             adam_step(params, grads, state)
             np.testing.assert_array_equal(grads.flat, 1.0)  # the gradient is read, never written
@@ -471,8 +476,8 @@ class TestAdam:
         # over the whole vector in the same operation order
         rng = np.random.default_rng(9)
         n = 2 * ADAM_BLOCK + 123
-        params = Parameters([rng.normal(size=(n - 1, 1))], [rng.normal(size=1)])
-        grads = Parameters.wrap(rng.normal(size=n), params.layout)
+        params = Parameters(rng.normal(size=n), NetworkSpec((Dense(n - 1, 1, "linear"),)).layout)
+        grads = Parameters(rng.normal(size=n), params.layout)
         m0, v0, flat0 = rng.normal(size=n), rng.random(n), params.flat.copy()
         state = OptimizerState(m=m0.copy(), v=v0.copy(), step=3, learning_rate=0.01)
         adam_step(params, grads, state)
@@ -527,13 +532,37 @@ class TestFlatParameters:
         params.flat[-1] = 9.0
         assert params.biases[1][3] == 9.0
 
-    def test_constructor_packs_in_model_file_order(self):
-        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0, 8.0])
-        w1, b1 = np.array([[9.0], [10.0], [11.0]]), np.array([12.0])
-        params = Parameters([w0, w1], [b0, b1])
-        np.testing.assert_array_equal(params.flat, np.arange(13.0))
-        w0[0, 0] = 100.0  # the inputs are copied once, not aliased
-        assert params.flat[0] == 0.0
+    def test_constructor_views_in_model_file_order(self):
+        spec = NetworkSpec((Dense(2, 3, "relu"), Dense(3, 1, "softmax")))
+        flat = np.arange(13.0)
+        params = Parameters(flat, spec.layout)
+        np.testing.assert_array_equal(params.weights[0], np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(params.biases[0], [6.0, 7.0, 8.0])
+        np.testing.assert_array_equal(params.weights[1], [[9.0], [10.0], [11.0]])
+        np.testing.assert_array_equal(params.biases[1], [12.0])
+        flat[0] = 100.0  # the buffer is viewed, not copied
+        assert params.weights[0][0, 0] == 100.0
+
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec((Dense(1, 1, "linear"),)),
+        NetworkSpec((Dense(5, 7, "relu"), Dropout(0.2), Dense(7, 3, "softmax"))),
+        build_classifier(ClassifierConfig(initial_neurons=12), input_dim=9, n_classes=4),
+        build_autoencoder(AutoencoderConfig(input_dim=10, encoder_widths=(6, 3))),
+    ])
+    def test_layout_tiles_the_flat_buffer(self, spec):
+        """Each dense layer's weight and then bias view, back to back from
+        0 to the end of ``flat``, each one exactly as long as its shape."""
+        params = init_params(spec, seed=0)
+        shapes = [s for d in spec.dense_layers() for s in ((d.fan_in, d.fan_out), (d.fan_out,))]
+        assert [shape for _, _, shape in spec.layout] == shapes
+        stops = [0] + [stop for _, stop, _ in spec.layout]
+        assert [start for start, _, _ in spec.layout] == stops[:-1]
+        assert stops[-1] == params.flat.size
+        views = [v for pair in zip(params.weights, params.biases) for v in pair]
+        for (start, stop, shape), view in zip(spec.layout, views, strict=True):
+            assert view.shape == shape and view.size == stop - start
+            view[...] = start  # a write through each view lands in its own slice
+        np.testing.assert_array_equal(params.flat, np.repeat(stops[:-1], np.diff(stops)))
 
 
 def _digest(params, history) -> str:
