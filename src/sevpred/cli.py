@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .association import MATRIX_FORMAT, AssociationMatrix, association_matrix, select_features
-from .dataset import TABLE_FORMAT, ColumnKind, SchemaSpec, Table, atomic_write, impute, ingest_csv, load_schema
-from .dataset import file_sha256, json_fits, load_json_artifact, load_keyed, load_table, save_keyed, save_table
-from .dataset import schema_to_dict, summarize
+from .artifacts import atomic_write, file_sha256, json_fits, load_json_artifact, load_keyed, save_keyed
+from .dataset import TABLE_FORMAT, ColumnKind, SchemaSpec, Table, impute, ingest_csv, load_schema, load_table
+from .dataset import save_table, schema_to_dict, summarize
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -141,6 +141,8 @@ def validate(settings: dict) -> None:
         raise ConfigError(f"split.ratios must be three positive values summing to 1, got {ratios}")
     if settings["cv"]["folds"] < 2:
         raise ConfigError("cv.folds must be at least 2")
+    if not settings["work_dir"]:  # Path("") is the current directory
+        raise ConfigError("work_dir must be a non-empty path")
     n_bins = settings["association"]["n_bins"]
     if not 2 <= n_bins <= MAX_BINS:
         raise ConfigError(f"association.n_bins must be in 2..{MAX_BINS}, got {n_bins}")
@@ -170,12 +172,6 @@ def _data_paths(settings: dict) -> tuple[Path, Path]:
         if not p.exists():
             raise ConfigError(f"input path does not exist: {p}")
     return csv_path, schema_path
-
-
-def _work_dir(settings: dict) -> Path:
-    path = Path(settings["work_dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _parse_set(expr: str) -> dict:
@@ -221,7 +217,36 @@ def build_config(args: argparse.Namespace) -> dict:
     return settings
 
 
-# -- artifact writing -----------------------------------------------------------
+# -- the work dir and its artifacts ---------------------------------------------
+
+MADE_BY = {  # artifact -> the stage that writes it, for the hint when it is missing
+    "table.cache": "stats",
+    "association.cache": "associate", "selection.json": "associate",
+    "features.fmx": "preprocess", "splits.json": "preprocess", "targets.json": "preprocess",
+    "preprocessor.json": "preprocess",
+    "latent.fmx": "train-ae", "autoencoder.model": "train-ae",
+    "classifier.model": "train", "classifier_encoded.model": "train",
+}
+
+
+class WorkDir:
+    """The directory through which stages pass artifacts. ``read`` is a
+    DataError naming the stage that makes a missing artifact; ``write`` makes
+    the directory, so a stage that fails before its first write leaves none."""
+
+    def __init__(self, root: str):
+        self.root = Path(root)
+
+    def read(self, name: str) -> Path:
+        path = self.root / name
+        if not path.exists():
+            raise DataError(f"missing artifact {name}; run `sevpred {MADE_BY[name]}` first")
+        return path
+
+    def write(self, name: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
+        return self.root / name
+
 
 def _meta(stage: str) -> dict:
     return {
@@ -268,20 +293,15 @@ def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = 
     """
     csv_path, schema, sha256 = source or _source(settings)
     key = {"csv_sha256": sha256, "schema": schema_to_dict(schema)}
+    work = WorkDir(settings["work_dir"])
     try:
-        table, keyed = load_table(Path(settings["work_dir"]) / "table.cache", schema, key), True
+        table, keyed = load_table(work.read("table.cache"), schema, key), True
     except (OSError, DataError):
         table = ingest_csv(csv_path, schema)
         keyed = file_sha256(csv_path) == sha256  # not rewritten while it was parsed
         if keyed:
-            save_table(_work_dir(settings) / "table.cache", table, key)
+            save_table(work.write("table.cache"), table, key)
     return (impute(table) if imputed else table), keyed
-
-
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise DataError(f"missing artifact {path.name}; run `{hint}` first")
-    return path
 
 
 # -- stages ---------------------------------------------------------------------
@@ -290,7 +310,7 @@ def stage_stats(settings: dict) -> dict:
     table, _ = _load_table(settings, imputed=False)
     payload = summarize(table)
     payload["meta"] = _meta("stats")
-    _write_json(_work_dir(settings) / "stats.json", payload)
+    _write_json(WorkDir(settings["work_dir"]).write("stats.json"), payload)
     return payload
 
 
@@ -312,8 +332,9 @@ def stage_associate(settings: dict) -> dict:
     key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "n_bins": assoc_cfg["n_bins"],
            "bias_corrected": assoc_cfg["bias_corrected"], "table_format": TABLE_FORMAT}
     n = len(schema.names)
+    work = WorkDir(settings["work_dir"])
     try:
-        _, (values,) = load_keyed(Path(settings["work_dir"]) / "association.cache", MATRIX_FORMAT, key,
+        _, (values,) = load_keyed(work.read("association.cache"), MATRIX_FORMAT, key,
                                   "matrix", {}, lambda _: [("<f8", n * n)])
         matrix = AssociationMatrix(tuple(schema.names), values.reshape(n, n))
     except (OSError, DataError):
@@ -322,14 +343,13 @@ def stage_associate(settings: dict) -> dict:
             table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
         )
         if keyed:
-            save_keyed(_work_dir(settings) / "association.cache", MATRIX_FORMAT, key, {},
+            save_keyed(work.write("association.cache"), MATRIX_FORMAT, key, {},
                        [("<f8", matrix.values)])
     rows = [
         [label, *[repr(float(v)) for v in matrix.values[i]]]
         for i, label in enumerate(matrix.labels)
     ]
-    work = _work_dir(settings)
-    _write_csv_rows(work / "association_matrix.csv", ["", *matrix.labels], rows)
+    _write_csv_rows(work.write("association_matrix.csv"), ["", *matrix.labels], rows)
     report = select_features(matrix, schema.target, assoc_cfg["threshold"])
     payload = {
         "threshold": report.threshold,
@@ -337,14 +357,14 @@ def stage_associate(settings: dict) -> dict:
         "selected": list(report.selected),
         "meta": _meta("associate"),
     }
-    _write_json(work / "selection.json", payload)
+    _write_json(work.write("selection.json"), payload)
     return payload
 
 
 def stage_preprocess(settings: dict) -> dict:
     table, _ = _load_table(settings)
-    work = _work_dir(settings)
-    selection = _require(work / "selection.json", "sevpred associate")
+    work = WorkDir(settings["work_dir"])
+    selection = work.read("selection.json")
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
         raise DataError("feature selection is empty; lower association.threshold")
@@ -367,10 +387,10 @@ def stage_preprocess(settings: dict) -> dict:
 
     # every model and the latent code were fit on the old split and scaling
     for stale in ("autoencoder.model", "latent.fmx", "classifier.model", "classifier_encoded.model"):
-        (work / stale).unlink(missing_ok=True)
-    save_feature_matrix(work / "features.fmx", features)
-    save_splits(work / "splits.json", splits)
-    save_preprocessor(work / "preprocessor.json", codec, standardizer, column_order)
+        (work.root / stale).unlink(missing_ok=True)
+    save_feature_matrix(work.write("features.fmx"), features)
+    save_splits(work.write("splits.json"), splits)
+    save_preprocessor(work.write("preprocessor.json"), codec, standardizer, column_order)
     payload = {
         "n_rows": table.n_rows,
         "n_dropped_missing_target": table.n_dropped,
@@ -381,21 +401,17 @@ def stage_preprocess(settings: dict) -> dict:
         "target_cardinality": table.schema.target_cardinality,
         "meta": _meta("preprocess"),
     }
-    _write_json(work / "targets.json", payload)
+    _write_json(work.write("targets.json"), payload)
     # targets.json keeps the labels for later stages; the printed summary
     # stays small at any row count
     del payload["labels"]
     return payload
 
 
-def _load_features(settings: dict, *, encoded: bool) -> tuple[FeatureMatrix, np.ndarray, int]:
-    work = _work_dir(settings)
-    name = "latent.fmx" if encoded else "features.fmx"
-    hint = "sevpred train-ae" if encoded else "sevpred preprocess"
-    features = load_feature_matrix(_require(work / name, hint))
-    targets_path = _require(work / "targets.json", "sevpred preprocess")
+def _load_features(work: WorkDir, *, encoded: bool) -> tuple[FeatureMatrix, np.ndarray, int]:
+    features = load_feature_matrix(work.read("latent.fmx" if encoded else "features.fmx"))
     targets = load_json_artifact(
-        targets_path, "targets", {"labels": [int], "target_cardinality": int}
+        work.read("targets.json"), "targets", {"labels": [int], "target_cardinality": int}
     )
     labels = np.asarray(targets["labels"], dtype=np.int64)
     if len(labels) != features.n:
@@ -403,10 +419,10 @@ def _load_features(settings: dict, *, encoded: bool) -> tuple[FeatureMatrix, np.
     return features, labels, targets["target_cardinality"]
 
 
-def _load_splits(work: Path, n_rows: int) -> SplitIndices:
+def _load_splits(work: WorkDir, n_rows: int) -> SplitIndices:
     """The saved split; DataError if an index falls outside the feature
     matrix's ``n_rows`` rows, where a negative one would count from the end."""
-    path = _require(work / "splits.json", "sevpred preprocess")
+    path = work.read("splits.json")
     splits = load_splits(path)
     for part, idx in splits.parts().items():
         if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
@@ -415,8 +431,8 @@ def _load_splits(work: Path, n_rows: int) -> SplitIndices:
 
 
 def stage_train_ae(settings: dict) -> dict:
-    work = _work_dir(settings)
-    features, _, _ = _load_features(settings, encoded=False)
+    work = WorkDir(settings["work_dir"])
+    features, _, _ = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
     ae_cfg = settings["autoencoder"]
     cfg = AutoencoderConfig(**ae_cfg, input_dim=features.d, seed=derive_seed(settings["seed"], "train-ae"))
@@ -424,12 +440,12 @@ def stage_train_ae(settings: dict) -> dict:
     spec = build_autoencoder(cfg)
     meta = {"kind": "autoencoder", "config": dict(ae_cfg), "seed": cfg.seed, "latent_dim": cfg.latent_dim}
     # the encoded classifier was fit on the old latent code
-    (work / "classifier_encoded.model").unlink(missing_ok=True)
-    save_model(work / "autoencoder.model", spec, params, meta)
+    (work.root / "classifier_encoded.model").unlink(missing_ok=True)
+    save_model(work.write("autoencoder.model"), spec, params, meta)
     # the code comes from the autoencoder just saved, so the two never disagree
-    save_feature_matrix(work / "latent.fmx", encode(spec, params, features))
+    save_feature_matrix(work.write("latent.fmx"), encode(spec, params, features))
     payload = {"history": history, "config": dict(ae_cfg), "seed": cfg.seed, "meta": _meta("train-ae")}
-    _write_json(work / "ae_history.json", payload)
+    _write_json(work.write("ae_history.json"), payload)
     return payload
 
 
@@ -444,10 +460,10 @@ def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights |
 
 
 def stage_train(settings: dict) -> dict:
-    work = _work_dir(settings)
+    work = WorkDir(settings["work_dir"])
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    features, labels, k = _load_features(settings, encoded=encoded)
+    features, labels, k = _load_features(work, encoded=encoded)
     splits = _load_splits(work, features.n)
 
     cfg = _classifier_config(settings, derive_seed(settings["seed"], f"train{suffix}"))
@@ -466,22 +482,22 @@ def stage_train(settings: dict) -> dict:
         "seed": cfg.seed,
         "class_weights": None if weights is None else weights.w.tolist(),
     }
-    save_model(work / f"classifier{suffix}.model", spec, params, meta)
+    save_model(work.write(f"classifier{suffix}.model"), spec, params, meta)
 
     preds = predict(params, spec, features.values[splits.test])
     report = evaluate_predictions(preds, labels[splits.test], k)
-    _write_json(work / f"history{suffix}.json", {
+    _write_json(work.write(f"history{suffix}.json"), {
         "history": history, "config": dict(settings["classifier"]),
         "seed": cfg.seed, "meta": _meta("train"),
     })
     payload = {"test": report.to_dict(), "encoded_input": encoded, "meta": _meta("train")}
-    _write_json(work / f"test_metrics{suffix}.json", payload)
+    _write_json(work.write(f"test_metrics{suffix}.json"), payload)
     return payload
 
 
 def stage_grid(settings: dict) -> dict:
-    work = _work_dir(settings)
-    features, labels, k = _load_features(settings, encoded=False)
+    work = WorkDir(settings["work_dir"])
+    features, labels, k = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
     grid = GridSpec(**settings["grid"])
     base = _classifier_config(settings, derive_seed(settings["seed"], "grid-base"))
@@ -499,14 +515,14 @@ def stage_grid(settings: dict) -> dict:
         "ranked": [r.to_dict() for r in results],
         "meta": _meta("grid"),
     }
-    _write_json(work / "grid_report.json", payload)
+    _write_json(work.write("grid_report.json"), payload)
     header = ["rank", "cell", *(f.name for f in fields(grid)),
               "seed", "val_ber", "val_accuracy", "best_epoch"]
     rows = [
         [rank, r.index, *r.config.values(), r.seed, repr(r.val_ber), repr(r.val_accuracy), r.best_epoch]
         for rank, r in enumerate(results)
     ]
-    _write_csv_rows(work / "grid_report.csv", header, rows)
+    _write_csv_rows(work.write("grid_report.csv"), header, rows)
     return payload
 
 
@@ -524,10 +540,10 @@ def _cv_runner(settings: dict, k: int):
 
 
 def stage_cv(settings: dict) -> dict:
-    work = _work_dir(settings)
+    work = WorkDir(settings["work_dir"])
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
-    features, labels, k = _load_features(settings, encoded=encoded)
+    features, labels, k = _load_features(work, encoded=encoded)
     result = cross_validate(
         _cv_runner(settings, k),
         features.values, labels,
@@ -541,44 +557,40 @@ def stage_cv(settings: dict) -> dict:
         **result.to_dict(),
         "meta": _meta("cv"),
     }
-    _write_json(work / f"cv_report{suffix}.json", payload)
+    _write_json(work.write(f"cv_report{suffix}.json"), payload)
     rows = [
         [i, repr(r.accuracy), repr(r.ber)] for i, r in enumerate(result.fold_reports)
     ]
     rows.append(["mean", repr(result.mean_accuracy), repr(result.mean_ber)])
     rows.append(["std", repr(result.std_accuracy), repr(result.std_ber)])
-    _write_csv_rows(work / f"cv_report{suffix}.csv", ["fold", "accuracy", "ber"], rows)
+    _write_csv_rows(work.write(f"cv_report{suffix}.csv"), ["fold", "accuracy", "ber"], rows)
     return payload
 
 
 def stage_predict(settings: dict) -> dict:
-    work = _work_dir(settings)
+    work = WorkDir(settings["work_dir"])
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     # read directly: a table without its target would evict the labeled one
     csv_path, schema_path = _data_paths(settings)
     table = impute(ingest_csv(csv_path, load_schema(schema_path), require_target=False))
-    codec, standardizer, column_order = load_preprocessor(
-        _require(work / "preprocessor.json", "sevpred preprocess")
-    )
+    codec, standardizer, column_order = load_preprocessor(work.read("preprocessor.json"))
     features = assemble(table, codec, standardizer, column_order)
     if encoded:
-        ae_spec, ae_params, _ = load_model(_require(work / "autoencoder.model", "sevpred train-ae"))
+        ae_spec, ae_params, _ = load_model(work.read("autoencoder.model"))
         features = encode(ae_spec, ae_params, features)
-    model_path = Path(settings["predict"]["model"] or work / f"classifier{suffix}.model")
-    spec, params, _ = load_model(_require(model_path, "sevpred train"))
+    model_path = Path(settings["predict"]["model"] or work.read(f"classifier{suffix}.model"))
+    spec, params, _ = load_model(model_path)
     last, k = spec.layers[-1], table.schema.target_cardinality
     if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
         raise DataError(f"{model_path}: not a {k}-class classifier (a {k}-way softmax last layer)")
     preds = predict(params, spec, features)
-    _write_csv_rows(
-        work / "predictions.csv", ["row", "severity_pred"],
-        [[i, int(label)] for i, label in enumerate(preds)],
-    )
+    output = work.write("predictions.csv")
+    _write_csv_rows(output, ["row", "severity_pred"], [[i, int(label)] for i, label in enumerate(preds)])
     return {
         "n_rows": table.n_rows,
         "n_dropped_missing_target": table.n_dropped,
-        "output": str(work / "predictions.csv"),
+        "output": str(output),
         "meta": _meta("predict"),
     }
 
@@ -609,7 +621,7 @@ def stage_pipeline(settings: dict) -> dict:
         "class_weights_enabled": settings["classifier"]["use_class_weights"],
         "meta": _meta("pipeline"),
     }
-    _write_json(_work_dir(settings) / "pipeline_report.json", payload)
+    _write_json(WorkDir(settings["work_dir"]).write("pipeline_report.json"), payload)
     return payload
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import json_fits, read_arrays, read_manifest, save_blob
+from .artifacts import json_fits, read_arrays, read_manifest, save_blob
 from .errors import (
     CacheMismatch,
     DataError,

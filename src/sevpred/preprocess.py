@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write, json_fits, load_json_artifact, read_arrays, read_manifest, save_blob
 from .dataset import ColumnKind, Table, largest_remainder_counts
-from .dataset import atomic_write, json_fits, load_json_artifact, read_arrays, read_manifest, save_blob
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import SEEDS, make_rng
 

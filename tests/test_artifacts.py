@@ -1,11 +1,14 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sevpred
 from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, init_params
+from sevpred.artifacts import atomic_write
 from sevpred.cli import _write_json
-from sevpred.dataset import atomic_write
 from sevpred.errors import DataError
 from sevpred.neural import load_model, save_model
 from sevpred.preprocess import (
@@ -104,8 +107,9 @@ class TestAtomicWrite:
         standardizer = Standardizer({"x": (0.0, 1.0)})
         save_preprocessor(path, codec, standardizer, ["x", "c"])
         before = path.read_bytes()
-        # json.dump streams the payload, so the codec is written before the
-        # unserializable value stops it
+        # json.dumps raises on the unserializable value inside atomic_write's
+        # block, before a byte is written; the temporary sibling is removed
+        # and the previous file stays in place
         bad = Standardizer({"x": (object(), 1.0)})
         with pytest.raises(TypeError):
             save_preprocessor(path, codec, bad, ["x", "c"])
@@ -118,3 +122,24 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             _write_json(path, {"ok": 2, "bad": object()})
         assert json.loads(path.read_text()) == {"ok": 1}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The sevpred modules that the module at ``path`` imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sevpred."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("sevpred.")}
+    return found
+
+
+def test_file_layer_stays_apart_from_the_dataset():
+    """artifacts.py imports only errors from the package, and the engine
+    reads its model files without the dataset module."""
+    imports = {path.stem: package_imports(path) for path in Path(sevpred.__file__).parent.glob("*.py")}
+    assert imports["artifacts"] == {"errors"}
+    assert "dataset" not in imports["neural"]

@@ -384,6 +384,17 @@ class TestPreprocessTrainChain:
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2
 
+    @pytest.mark.parametrize("command, args, code", [
+        ("train", [], 2), ("grid", [], 2), ("cv", [], 2), ("train-ae", [], 2),
+        ("predict", ["--set", "data.csv=missing.csv"], 1),
+    ])
+    def test_failing_stage_leaves_no_work_dir(self, csv_workspace, command, args, code):
+        """A stage's first write makes the work dir, so one that fails
+        before it leaves none behind."""
+        work = csv_workspace / "new" / "out"
+        assert run_cmd(csv_workspace, command, "--work-dir", str(work), *args) == code
+        assert not (csv_workspace / "new").exists()
+
     def test_missing_data_path_is_config_error(self, csv_workspace, capsys):
         code = main([
             "stats", "--config", str(csv_workspace / "config.json"),
@@ -487,6 +498,17 @@ class TestPredict:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError" and str(model) in err["error"]["message"]
         assert not (csv_workspace / "out" / "predictions.csv").exists()
+
+    def test_missing_model_override_exit_2_names_it(self, csv_workspace, capsys):
+        """An override is the user's path, not a work-dir artifact: no
+        `sevpred train` hint, but the OSError naming the path."""
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        model = csv_workspace / "nowhere.model"
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={model}") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "FileNotFoundError" and str(model) in err["error"]["message"]
 
 
 class TestPipeline:
@@ -838,6 +860,7 @@ class TestConfigPlumbing:
         pytest.param(["--set", "classifier=5", "--set", 'classifier={"epochs": 1}'], id="classifier-scalar-then-object"),
         pytest.param(["--set", "autoencoder=5", "--set", 'autoencoder={"epochs": 1}'], id="autoencoder-scalar-then-object"),
         pytest.param(["--set", "grid=5", "--set", 'grid={"initial_neurons": [8]}'], id="grid-scalar-then-object"),
+        pytest.param(["--work-dir", ""], id="empty-work-dir"),
     ], ids=lambda args: args[-1])
     def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
         (csv_workspace / "data.csv").write_bytes(b"\xff\n")

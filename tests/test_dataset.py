@@ -25,9 +25,9 @@ from sevpred import (
     summarize,
     write_csv,
 )
+from sevpred.artifacts import json_fits
 from sevpred.dataset import (
     factorize,
-    json_fits,
     largest_remainder_counts,
     load_schema,
     load_table,
