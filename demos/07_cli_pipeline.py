@@ -3,7 +3,9 @@
 Creates a synthetic accident CSV plus schema and config files, then runs the
 whole chain (associate -> preprocess -> train-ae, which also writes the
 latent code -> train x2 -> cv x2) with one `pipeline` invocation and prints
-the resulting two-row model comparison. Also scores the CSV with `predict`.
+the resulting two-row model comparison. A second `pipeline` finds every
+stage's lineage record still holding, so it skips them all; both wall times
+are printed. Also scores the CSV with `predict`.
 
 Run: python demos/07_cli_pipeline.py
 """
@@ -12,6 +14,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from sevpred import SyntheticSpec, generate_synthetic, write_csv
@@ -50,7 +53,11 @@ def cli(*args):
 
 
 cli("stats")
-cli("pipeline")
+for run in ("first", "second"):
+    start = time.perf_counter()
+    printed = json.loads(cli("pipeline"))
+    skipped = printed["meta"].get("skipped", False)
+    print(f"{run} pipeline: {time.perf_counter() - start:.2f} s wall (skipped: {skipped})")
 report = json.loads((work / "out" / "pipeline_report.json").read_text())
 print("\nmodel comparison (cross-validated):")
 print(f"{'model':14s} {'BER':>8s} {'sd':>7s} {'ACC':>8s} {'sd':>7s}")

@@ -5,7 +5,8 @@ workflow the evaluation harness implies (tune, cross-validate, ablate class
 weights) can re-run any stage independently. All randomness flows from one
 master seed via labeled derivation, making every report a deterministic
 function of the config; wall-clock metadata lives under a separate "meta"
-key so reports stay byte-comparable.
+key so reports stay byte-comparable. Each stage keeps a lineage record in
+``<work_dir>/lineage.json`` and is skipped while that record still holds.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (or an input or
 model too large for this machine's memory), 3 numeric failure.
@@ -18,7 +19,9 @@ import copy
 import csv as csv_module
 import datetime
 import functools
+import hashlib
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -226,26 +229,175 @@ MADE_BY = {  # artifact -> the stage that writes it, for the hint when it is mis
     "preprocessor.json": "preprocess",
     "latent.fmx": "train-ae", "autoencoder.model": "train-ae",
     "classifier.model": "train", "classifier_encoded.model": "train",
+    "cv_report.json": "cv", "cv_report_encoded.json": "cv",
 }
 
 
+# What a keyed cache holds is decided by its key (the CSV's sha256, the
+# schema, settings), which a lineage record holds already, and a read checks
+# it against its own sha256, so it is no input of the stage that reads it.
+# It is an output of the stage that writes it, which a damaged one re-runs.
+KEYED_CACHES = ("table.cache", "association.cache")
+
+
 class WorkDir:
-    """The directory through which stages pass artifacts. ``read`` is a
-    DataError naming the stage that makes a missing artifact; ``write`` makes
-    the directory, so a stage that fails before its first write leaves none."""
+    """The directory through which stages pass artifacts, and what one stage
+    run read and wrote, for its lineage record. ``read`` is a DataError
+    naming the stage that makes a missing artifact, and hashes the artifact
+    it hands out, a keyed cache aside; ``write`` makes the directory, so a
+    stage that fails before its first write leaves none."""
 
     def __init__(self, root: str):
         self.root = Path(root)
+        self.inputs: dict = {}  # input -> its sha256, or the parsed schema
+        self.outputs: list[str] = []
+        self.keyed = True  # false once the CSV no longer hashes as it did before it was parsed
 
     def read(self, name: str) -> Path:
         path = self.root / name
         if not path.exists():
             raise DataError(f"missing artifact {name}; run `sevpred {MADE_BY[name]}` first")
+        if name not in KEYED_CACHES:
+            self.inputs[name] = file_sha256(path)
         return path
 
     def write(self, name: str) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
         return self.root / name
+
+
+# -- lineage: a stage whose settings, inputs and outputs are unchanged is skipped
+
+READS = {  # stage -> the settings sections it reads, all of which its lineage record holds
+    "stats": ("data",),
+    "associate": ("data", "association"),
+    "preprocess": ("data", "seed", "split"),
+    "train-ae": ("seed", "autoencoder"),
+    "train": ("seed", "classifier", "use_encoder"),
+    "grid": ("seed", "classifier", "grid"),
+    "cv": ("seed", "classifier", "cv", "use_encoder"),
+    "predict": ("data", "work_dir", "use_encoder", "predict"),  # it prints its output's path
+    "pipeline": ("classifier",),  # its comparison; each of its stages keeps a record of its own
+}
+LINEAGE_FORMAT = "sevpred-lineage-1"
+RECORD = {"key": dict, "inputs": dict, "outputs": {str: str}, "payload": {"meta": dict}}
+
+
+@functools.cache
+def _package_digest() -> str:
+    """sha256 of this package's own source files, once per process."""
+    package = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(f"{path.relative_to(package)}\0".encode("utf-8"))
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def _environment() -> dict:
+    """What besides its settings and inputs decides a stage's outputs: the
+    package's code, numpy's version and the threads BLAS may use."""
+    return {
+        "package": _package_digest(),
+        "numpy": np.__version__,
+        "threads": {name: value for name, value in sorted(os.environ.items()) if name.endswith("_NUM_THREADS")},
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    }
+
+
+def _lineage_bytes(body: bytes) -> bytes:
+    """``lineage.json`` around the stage records' compact JSON ``body``: an
+    object of its format, the body's sha256 and, last, the records."""
+    head = f'{{"format":"{LINEAGE_FORMAT}","sha256":"{hashlib.sha256(body).hexdigest()}","stages":'
+    return head.encode("utf-8") + body + b"}\n"
+
+
+def _lineage(root: Path) -> dict:
+    """The stage records in ``<root>/lineage.json``: none if the file is
+    absent, names another format, or its records fail their sha256 or the
+    record shape, so a cut, edited or foreign file holds no record."""
+    try:
+        data = (root / "lineage.json").read_bytes()
+    except OSError:
+        return {}
+    body = data[len(_lineage_bytes(b"")) - 2:-2]  # between the head and the closing "}\n"
+    if data != _lineage_bytes(body):
+        return {}
+    try:
+        stages = json.loads(body)
+    except ValueError:
+        return {}
+    return stages if json_fits(stages, {str: RECORD}) else {}
+
+
+def _input(name: str, settings: dict, root: Path):
+    """Input ``name`` of a lineage record as it is now: the parsed schema,
+    or the sha256 of the CSV, a ``predict.model`` override or an artifact."""
+    if name == "data.schema":
+        return schema_to_dict(load_schema(settings["data"]["schema"]))
+    if name in ("data.csv", "predict.model"):
+        section, field = name.split(".")
+        return file_sha256(settings[section][field])
+    return file_sha256(root / name)
+
+
+def _holds(record: dict, key: dict, settings: dict, root: Path) -> bool:
+    """Whether a stage's lineage ``record`` still holds: it was made under
+    ``key``, and every input and output it names hashes as it did then."""
+    if json.dumps(record["key"], sort_keys=True) != json.dumps(key, sort_keys=True):
+        return False
+    try:
+        return (all(_input(name, settings, root) == value for name, value in record["inputs"].items())
+                and all(file_sha256(root / name) == sha256 for name, sha256 in record["outputs"].items()))
+    except (OSError, ValueError, TypeError, PipelineError):  # gone or unreadable: the stage runs
+        return False
+
+
+def _recorded(stage: str):
+    """The stage function ``body(settings, work)`` as ``fn(settings)``, run
+    under its lineage record in ``<work_dir>/lineage.json``.
+
+    The record holds the key (the settings sections ``READS[stage]`` names
+    and the ``_environment``), what the run read (the CSV's sha256, the
+    parsed schema, each artifact ``WorkDir.read`` handed out, a
+    ``predict.model`` override), the sha256 of every file it wrote, and the
+    payload it printed. ``body`` gets those settings sections alone, so it
+    cannot read one its record leaves out. While the record holds, the
+    stage does no work and writes nothing: it returns the stored payload
+    with ``"skipped": true`` in its "meta". A record that does not hold, or
+    none, is a normal run, never an error; only a run that succeeds, with
+    the CSV still hashing as it did before it was parsed, rewrites the
+    record. A file the run writes is an output, not an input: no stage
+    derives a file from its own last copy. ``lineage.json`` is read once per
+    run, so of two processes recording at once the last rename wins and the
+    other's stage runs again next time.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run(settings: dict) -> dict:
+            work = WorkDir(settings["work_dir"])
+            # train and cv keep one set of outputs per variant, so one record each
+            name = f"{stage}_encoded" if stage in ("train", "cv") and settings["use_encoder"] else stage
+            declared = {section: settings[section] for section in READS[stage]}
+            key = {"settings": declared, "environment": _environment()}
+            stages = _lineage(work.root)
+            record = stages.get(name)
+            if record is not None and _holds(record, key, settings, work.root):
+                record["payload"]["meta"]["skipped"] = True
+                return record["payload"]
+            payload = body(declared, work)
+            if work.keyed:
+                outputs = {output: file_sha256(work.root / output) for output in work.outputs}
+                inputs = {i: value for i, value in work.inputs.items() if i not in outputs}
+                stages[name] = {"key": key, "inputs": inputs, "outputs": outputs, "payload": payload}
+                with atomic_write(work.root / "lineage.json", "wb") as fh:
+                    fh.write(_lineage_bytes(json.dumps(stages, separators=(",", ":")).encode("utf-8")))
+            return payload
+
+        return run
+
+    return wrap
 
 
 def _meta(stage: str) -> dict:
@@ -268,18 +420,23 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _source(settings: dict) -> tuple[Path, SchemaSpec, str]:
+def _source(settings: dict, work: WorkDir) -> tuple[Path, SchemaSpec, str]:
     """``data.csv``, its schema and the sha256 of the CSV's bytes, which keys
-    what the work dir keeps of them. A stage hashes the CSV here once."""
+    what the work dir keeps of them; ``work`` records the hash and the
+    schema as inputs. A stage hashes the CSV here once."""
     csv_path, schema_path = _data_paths(settings)
     schema = load_schema(schema_path)
-    return csv_path, schema, file_sha256(csv_path)
+    sha256 = file_sha256(csv_path)
+    work.inputs.update({"data.csv": sha256, "data.schema": schema_to_dict(schema)})
+    return csv_path, schema, sha256
 
 
-def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = True) -> tuple[Table, bool]:
+def _load_table(settings: dict, work: WorkDir, source: tuple | None = None, *,
+                imputed: bool = True) -> Table:
     """The labeled table of ``data.csv`` under the schema, as ``stats``,
-    ``associate`` and ``preprocess`` get it, and whether it is the table of
-    the CSV bytes ``source`` (by default ``_source(settings)``) hashed.
+    ``associate`` and ``preprocess`` get it from ``source`` (by default
+    ``_source(settings, work)``). ``work`` is the stage's work dir, which
+    records what was read.
 
     ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
     key of what decides it: that sha256 of the CSV's bytes and the schema
@@ -288,33 +445,34 @@ def _load_table(settings: dict, source: tuple | None = None, *, imputed: bool = 
     CSV; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
     never an error. After an ingest the CSV is hashed again: only if it
     still hashes to the key is the cache written (the work dir is not made
-    before then) and the flag true, so a stage keeps what it derives from
-    the table only then.
+    before then); otherwise ``work.keyed`` turns false, so the stage keeps
+    nothing it derives from the table and leaves no lineage record either.
     """
-    csv_path, schema, sha256 = source or _source(settings)
+    csv_path, schema, sha256 = source or _source(settings, work)
     key = {"csv_sha256": sha256, "schema": schema_to_dict(schema)}
-    work = WorkDir(settings["work_dir"])
     try:
-        table, keyed = load_table(work.read("table.cache"), schema, key), True
+        table = load_table(work.read("table.cache"), schema, key)
     except (OSError, DataError):
         table = ingest_csv(csv_path, schema)
-        keyed = file_sha256(csv_path) == sha256  # not rewritten while it was parsed
-        if keyed:
+        work.keyed &= file_sha256(csv_path) == sha256  # not rewritten while it was parsed
+        if work.keyed:
             save_table(work.write("table.cache"), table, key)
-    return (impute(table) if imputed else table), keyed
+    return impute(table) if imputed else table
 
 
 # -- stages ---------------------------------------------------------------------
 
-def stage_stats(settings: dict) -> dict:
-    table, _ = _load_table(settings, imputed=False)
+@_recorded("stats")
+def stage_stats(settings: dict, work: WorkDir) -> dict:
+    table = _load_table(settings, work, imputed=False)
     payload = summarize(table)
     payload["meta"] = _meta("stats")
-    _write_json(WorkDir(settings["work_dir"]).write("stats.json"), payload)
+    _write_json(work.write("stats.json"), payload)
     return payload
 
 
-def stage_associate(settings: dict) -> dict:
+@_recorded("associate")
+def stage_associate(settings: dict, work: WorkDir) -> dict:
     """Cramer's V over every schema column and the selection it implies.
 
     The matrix is kept in ``<work_dir>/association.cache`` under a key of
@@ -326,23 +484,22 @@ def stage_associate(settings: dict) -> dict:
     never an error. A miss computes the matrix from ``_load_table``'s table
     and keeps it only if that table is the keyed CSV's.
     """
-    source = _source(settings)
+    source = _source(settings, work)
     _, schema, sha256 = source
     assoc_cfg = settings["association"]
     key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "n_bins": assoc_cfg["n_bins"],
            "bias_corrected": assoc_cfg["bias_corrected"], "table_format": TABLE_FORMAT}
     n = len(schema.names)
-    work = WorkDir(settings["work_dir"])
     try:
         _, (values,) = load_keyed(work.read("association.cache"), MATRIX_FORMAT, key,
                                   "matrix", {}, lambda _: [("<f8", n * n)])
         matrix = AssociationMatrix(tuple(schema.names), values.reshape(n, n))
     except (OSError, DataError):
-        table, keyed = _load_table(settings, source)
+        table = _load_table(settings, work, source)
         matrix = association_matrix(
             table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
         )
-        if keyed:
+        if work.keyed:
             save_keyed(work.write("association.cache"), MATRIX_FORMAT, key, {},
                        [("<f8", matrix.values)])
     rows = [
@@ -361,9 +518,9 @@ def stage_associate(settings: dict) -> dict:
     return payload
 
 
-def stage_preprocess(settings: dict) -> dict:
-    table, _ = _load_table(settings)
-    work = WorkDir(settings["work_dir"])
+@_recorded("preprocess")
+def stage_preprocess(settings: dict, work: WorkDir) -> dict:
+    table = _load_table(settings, work)
     selection = work.read("selection.json")
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
@@ -430,8 +587,8 @@ def _load_splits(work: WorkDir, n_rows: int) -> SplitIndices:
     return splits
 
 
-def stage_train_ae(settings: dict) -> dict:
-    work = WorkDir(settings["work_dir"])
+@_recorded("train-ae")
+def stage_train_ae(settings: dict, work: WorkDir) -> dict:
     features, _, _ = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
     ae_cfg = settings["autoencoder"]
@@ -459,8 +616,8 @@ def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights |
     return compute_class_weights(labels, k)
 
 
-def stage_train(settings: dict) -> dict:
-    work = WorkDir(settings["work_dir"])
+@_recorded("train")
+def stage_train(settings: dict, work: WorkDir) -> dict:
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(work, encoded=encoded)
@@ -495,8 +652,8 @@ def stage_train(settings: dict) -> dict:
     return payload
 
 
-def stage_grid(settings: dict) -> dict:
-    work = WorkDir(settings["work_dir"])
+@_recorded("grid")
+def stage_grid(settings: dict, work: WorkDir) -> dict:
     features, labels, k = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
     grid = GridSpec(**settings["grid"])
@@ -539,8 +696,8 @@ def _cv_runner(settings: dict, k: int):
     return runner
 
 
-def stage_cv(settings: dict) -> dict:
-    work = WorkDir(settings["work_dir"])
+@_recorded("cv")
+def stage_cv(settings: dict, work: WorkDir) -> dict:
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     features, labels, k = _load_features(work, encoded=encoded)
@@ -567,19 +724,22 @@ def stage_cv(settings: dict) -> dict:
     return payload
 
 
-def stage_predict(settings: dict) -> dict:
-    work = WorkDir(settings["work_dir"])
+@_recorded("predict")
+def stage_predict(settings: dict, work: WorkDir) -> dict:
     encoded = settings["use_encoder"]
     suffix = "_encoded" if encoded else ""
     # read directly: a table without its target would evict the labeled one
-    csv_path, schema_path = _data_paths(settings)
-    table = impute(ingest_csv(csv_path, load_schema(schema_path), require_target=False))
+    csv_path, schema, sha256 = _source(settings, work)
+    table = impute(ingest_csv(csv_path, schema, require_target=False))
+    work.keyed &= file_sha256(csv_path) == sha256
     codec, standardizer, column_order = load_preprocessor(work.read("preprocessor.json"))
     features = assemble(table, codec, standardizer, column_order)
     if encoded:
         ae_spec, ae_params, _ = load_model(work.read("autoencoder.model"))
         features = encode(ae_spec, ae_params, features)
     model_path = Path(settings["predict"]["model"] or work.read(f"classifier{suffix}.model"))
+    if settings["predict"]["model"]:
+        work.inputs["predict.model"] = file_sha256(model_path)
     spec, params, _ = load_model(model_path)
     last, k = spec.layers[-1], table.schema.target_cardinality
     if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
@@ -598,30 +758,34 @@ def stage_predict(settings: dict) -> dict:
 def stage_pipeline(settings: dict) -> dict:
     """Full chain: associate -> preprocess -> train-ae (which writes the
     latent code) -> train x2 variants -> cv x2 variants, ending in a two-row
-    comparison."""
+    comparison. Each stage, the comparison included, keeps its own lineage
+    record, so a re-run redoes only the stages whose record no longer holds."""
     stage_associate(settings)
     stage_preprocess(settings)
     stage_train_ae(settings)
+    for stage in (stage_train, stage_cv):
+        for encoded in (False, True):
+            stage({**settings, "use_encoder": encoded})
+    return _compare(settings)
 
-    for encoded in (False, True):
-        stage_train({**settings, "use_encoder": encoded})
-    cv_raw, cv_enc = [stage_cv({**settings, "use_encoder": e}) for e in (False, True)]
 
-    def row(name: str, report: dict) -> dict:
-        return {
-            "model": name,
-            "mean_ber": report["mean_ber"],
-            "std_ber": report["std_ber"],
-            "mean_accuracy": report["mean_accuracy"],
-            "std_accuracy": report["std_accuracy"],
-        }
+COMPARED = ("mean_ber", "std_ber", "mean_accuracy", "std_accuracy")
+
+
+@_recorded("pipeline")
+def _compare(settings: dict, work: WorkDir) -> dict:
+    """``pipeline``'s report: the two variants' CV figures side by side."""
+    def row(name: str, suffix: str) -> dict:
+        path = work.read(f"cv_report{suffix}.json")
+        report = load_json_artifact(path, "CV report", {field: float for field in COMPARED})
+        return {"model": name, **{field: report[field] for field in COMPARED}}
 
     payload = {
-        "comparison": [row("encoder+dnn", cv_enc), row("dnn", cv_raw)],
+        "comparison": [row("encoder+dnn", "_encoded"), row("dnn", "")],
         "class_weights_enabled": settings["classifier"]["use_class_weights"],
         "meta": _meta("pipeline"),
     }
-    _write_json(WorkDir(settings["work_dir"]).write("pipeline_report.json"), payload)
+    _write_json(work.write("pipeline_report.json"), payload)
     return payload
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -511,18 +512,74 @@ class TestPredict:
         assert err["error"]["type"] == "FileNotFoundError" and str(model) in err["error"]["message"]
 
 
+def work_files(work: Path) -> dict:
+    """Every file in a work dir, JSON as its text without "meta" (keys in
+    their written order), the rest as bytes; lineage.json aside, since it
+    hashes files whose "meta" holds wall-clock time."""
+    return {p.name: json.dumps(strip_meta(json.loads(p.read_bytes()))) if p.suffix == ".json" else p.read_bytes()
+            for p in sorted(work.iterdir()) if p.name != "lineage.json"}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(*names)``: a Counter of the calls the CLI makes from then on
+    to each library function named."""
+    counts = collections.Counter()
+
+    def count(*names):
+        for name in names:
+            def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        return counts
+
+    return count
+
+
+WORK = ("train_classifier", "train_autoencoder", "ingest_csv", "association_matrix")
+
+
 class TestPipeline:
-    def test_pipeline_and_idempotence(self, csv_workspace):
+    def test_pipeline_and_idempotence(self, csv_workspace, capsys, counted):
+        """A second pipeline finds every stage's lineage record holding: it
+        trains, parses and computes nothing, rewrites no file, and prints
+        what the first printed, marked skipped."""
+        out = csv_workspace / "out"
         assert run_cmd(csv_workspace, "pipeline") == 0
-        report1 = strip_meta(read_json(csv_workspace, "pipeline_report.json"))
-        cv1 = strip_meta(read_json(csv_workspace, "cv_report.json"))
+        first, files = capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}
+        counts = counted(*WORK)
         assert run_cmd(csv_workspace, "pipeline") == 0
-        report2 = strip_meta(read_json(csv_workspace, "pipeline_report.json"))
-        cv2 = strip_meta(read_json(csv_workspace, "cv_report.json"))
-        assert report1 == report2
-        assert cv1 == cv2
-        models = [row["model"] for row in report1["comparison"]]
+        second = json.loads(capsys.readouterr().out)
+        assert [counts[name] for name in WORK] == [0, 0, 0, 0]
+        assert json.dumps(strip_meta(second)) == json.dumps(strip_meta(json.loads(first)))
+        assert second["meta"]["skipped"] is True
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+        models = [row["model"] for row in second["comparison"]]
         assert models == ["encoder+dnn", "dnn"]
+
+    def test_changed_folds_reruns_only_the_cvs(self, csv_workspace, capsys, counted):
+        """After a cv.folds edit, pipeline trains only the two CVs' fold
+        models and rewrites only their reports and its own; what it leaves
+        equals a fresh work dir's, modulo "meta"."""
+        out = csv_workspace / "out"
+        assert run_cmd(csv_workspace, "pipeline") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        counts = counted(*WORK)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "pipeline", "--set", "cv.folds=2") == 0
+        warm = strip_meta(json.loads(capsys.readouterr().out))
+        assert counts == {"train_classifier": 2 * 2}
+        rerun = {"cv_report.json", "cv_report.csv", "cv_report_encoded.json", "cv_report_encoded.csv",
+                 "pipeline_report.json", "lineage.json"}
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {n: b for n, b in after.items() if n not in rerun} == {n: b for n, b in before.items() if n not in rerun}
+        assert all(after[name] != before[name] for name in rerun)
+        fresh = csv_workspace / "fresh"
+        assert run_cmd(csv_workspace, "pipeline", "--set", "cv.folds=2", "--work-dir", str(fresh)) == 0
+        assert strip_meta(json.loads(capsys.readouterr().out)) == warm
+        assert work_files(out) == work_files(fresh)
 
     def test_use_encoder_runs_the_pipeline_variant(self, csv_workspace):
         """One use_encoder switch picks the latent input for train, cv and
@@ -593,6 +650,8 @@ class TestTableCache:
             files = {p.name: strip_meta(json.loads(p.read_bytes())) if p.suffix == ".json" else p.read_bytes()
                      for p in out.iterdir()}
             kept = files.pop("table.cache", None)
+            # the record hashes files whose "meta" holds wall-clock time
+            files.pop("lineage.json")
             runs[warm], counts[warm] = (printed, files), len(ingests)
             shutil.rmtree(out)
         assert runs[False] == runs[True]
@@ -1274,3 +1333,268 @@ class TestDamagedAssociationCache:
         damaged = bytearray(whole)
         damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
         assert self.rerun_associate(root, bytes(damaged)) == (outputs, whole)
+
+
+# a valid value for every leaf of DEFAULTS, each unlike the workspace
+# config's; work_dir is set per run
+OTHER = {
+    "data": {"csv": "elsewhere.csv", "schema": "elsewhere.json"},
+    "work_dir": None,
+    "seed": 6,
+    "association": {"n_bins": 4, "threshold": 0.1, "bias_corrected": True},
+    "split": {"ratios": [0.5, 0.25, 0.25]},
+    "autoencoder": {"encoder_widths": [6, 3], "epochs": 2, "batch_size": 64, "learning_rate": 0.01},
+    "classifier": {"initial_neurons": 16, "initial_dropout": 0.1, "batch_size": 64, "l2_penalty": 0.001,
+                   "epochs": 2, "learning_rate": 0.01, "use_class_weights": False},
+    "use_encoder": True,
+    "grid": {"initial_neurons": [8], "initial_dropout": [0.3], "batch_size": [64], "l2_penalty": [0.01]},
+    "cv": {"folds": 2},
+    "predict": {"model": "elsewhere.model"},
+}
+# the stages whose artifacts each stage reads
+NEEDS = {"preprocess": ("associate",), "train-ae": ("associate", "preprocess"),
+         "train": ("associate", "preprocess"), "grid": ("associate", "preprocess"),
+         "cv": ("associate", "preprocess"), "predict": ("associate", "preprocess", "train"),
+         "pipeline": ("pipeline",)}
+# the function each record belongs to: pipeline's own record is its comparison's
+RECORDED = {**cli.STAGES, "pipeline": cli._compare}
+
+
+class TestDeclaredSettings:
+    """A stage's lineage record holds only the settings sections
+    ``cli.READS`` declares for it, so nothing else may decide its outputs: a
+    fresh run under a config that changes every leaf outside them gives what
+    the workspace config gives, modulo "meta". Otherwise a skip could hide a
+    setting the stage really reads."""
+
+    @staticmethod
+    def settings(root, config: str = "config.json") -> dict:
+        config = json.loads((root / config).read_text(encoding="utf-8"))
+        return cli._deep_merge(copy.deepcopy(DEFAULTS), config)
+
+    def test_other_changes_every_leaf(self, csv_workspace):
+        base = dict(_leaves(self.settings(csv_workspace)))
+        other = dict(_leaves(OTHER))
+        assert list(other) == list(base)
+        assert [path for path in base if other[path] == base[path]] == []
+
+    @pytest.mark.parametrize("stage", sorted(cli.READS))
+    def test_undeclared_settings_change_nothing(self, csv_workspace, stage):
+        root = csv_workspace
+        base = self.settings(root)
+        for cmd in NEEDS.get(stage, ()):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cmd(root, cmd) == 0, cmd
+        prepared = root / "prepared"
+        if NEEDS.get(stage):
+            (root / "out" / "lineage.json").unlink()  # so the stage runs rather than skips
+            shutil.copytree(root / "out", prepared)
+        other = {section: base[section] if section in cli.READS[stage] else OTHER[section] for section in base}
+        if "work_dir" not in cli.READS[stage]:
+            other["work_dir"] = str(root / "other")
+        (root / "other.json").write_text(json.dumps(other), encoding="utf-8")
+
+        results = []
+        for config in ("config.json", "other.json"):
+            cfg = self.settings(root, config)
+            cli.validate(cfg)
+            work = Path(cfg["work_dir"])
+            shutil.rmtree(work, ignore_errors=True)
+            if prepared.exists():
+                shutil.copytree(prepared, work)
+            payload = json.loads(json.dumps(RECORDED[stage](cfg)))
+            results.append((strip_meta(payload), work_files(work)))
+        assert results[0] == results[1]
+
+
+@pytest.fixture(scope="module")
+def recorded_workspace(tmp_path_factory):
+    """A workspace after ``associate`` and ``preprocess``: the root, and
+    what preprocess printed and left in the work dir (without "meta").
+    lineage.json holds preprocess's record alone, so its length is the same
+    after every run that rewrites it."""
+    root = write_workspace(tmp_path_factory.mktemp("recorded"), make_small_table())
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cmd(root, "associate") == 0
+    (root / "out" / "lineage.json").unlink()
+    with contextlib.redirect_stdout(printed):
+        assert run_cmd(root, "preprocess") == 0
+    return root, (strip_meta(json.loads(printed.getvalue())), work_files(root / "out"))
+
+
+def run_preprocess(root) -> tuple[int, dict | None]:
+    """``preprocess``'s exit code, and on exit 0 what it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cmd(root, "preprocess")
+    return code, json.loads(printed.getvalue()) if code == 0 else None
+
+
+def flipped(data, whole: bytes, start: int = 0) -> bytes:
+    offset = data.draw(st.integers(start, len(whole) - 1), label="offset")
+    damaged = bytearray(whole)
+    damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
+    return bytes(damaged)
+
+
+class TestDamagedLineage:
+    """A stage runs, never skips, unless its lineage record holds, and a
+    record that does not hold is never an error. ``preprocess``, damaged
+    here, reads the CSV, the schema, selection.json and table.cache, whose
+    key the CSV's hash and the schema decide, and writes four artifacts.
+    Every example starts from a record that holds."""
+
+    @staticmethod
+    def damage(root, name: str, damaged: bytes | None) -> tuple[int, dict | None]:
+        """``preprocess`` with ``name`` (under ``root``) overwritten by
+        ``damaged``, or deleted for None, after a run that skips."""
+        assert run_preprocess(root)[0] == 0
+        assert run_preprocess(root)[1]["meta"]["skipped"] is True
+        path = root / name
+        if damaged is None:
+            path.unlink()
+        else:
+            path.write_bytes(damaged)
+        return run_preprocess(root)
+
+    @staticmethod
+    def assert_rerun_whole(root, outputs, result):
+        """The stage ran, left its outputs as the first run did, and wrote a
+        record that holds."""
+        code, printed = result
+        assert code == 0 and "skipped" not in printed["meta"]
+        assert (strip_meta(printed), work_files(root / "out")) == outputs
+        assert run_preprocess(root)[1]["meta"]["skipped"] is True
+
+    @staticmethod
+    def whole(root, name: str) -> bytes:
+        """``name``'s bytes after a run that leaves a record that holds."""
+        assert run_preprocess(root)[0] == 0
+        return (root / name).read_bytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_cut_record_reruns(self, recorded_workspace, data):
+        root, outputs = recorded_workspace
+        whole = self.whole(root, "out/lineage.json")
+        offset = data.draw(st.integers(0, len(whole) - 1), label="offset")
+        self.assert_rerun_whole(root, outputs, self.damage(root, "out/lineage.json", whole[:offset]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_flipped_record_byte_reruns(self, recorded_workspace, data):
+        root, outputs = recorded_workspace
+        damaged = flipped(data, self.whole(root, "out/lineage.json"))
+        self.assert_rerun_whole(root, outputs, self.damage(root, "out/lineage.json", damaged))
+
+    def test_deleted_record_reruns(self, recorded_workspace):
+        root, outputs = recorded_workspace
+        self.assert_rerun_whole(root, outputs, self.damage(root, "out/lineage.json", None))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_flipped_output_byte_reruns(self, recorded_workspace, data):
+        root, outputs = recorded_workspace
+        name = "out/" + data.draw(st.sampled_from(["features.fmx", "splits.json", "preprocessor.json",
+                                                   "targets.json"]), label="output")
+        damaged = flipped(data, self.whole(root, name))
+        self.assert_rerun_whole(root, outputs, self.damage(root, name, damaged))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_flipped_input_byte_reruns(self, recorded_workspace, data):
+        """An input flipped may fail the stage or change what it makes; it
+        must not leave it skipped."""
+        root, _ = recorded_workspace
+        name = data.draw(st.sampled_from(["data.csv", "out/selection.json"]), label="input")
+        whole = self.whole(root, name)
+        try:
+            code, printed = self.damage(root, name, flipped(data, whole))
+        finally:
+            (root / name).write_bytes(whole)
+        assert code != 0 or "skipped" not in printed["meta"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_damaged_table_cache_still_skips(self, recorded_workspace, data):
+        """A run would read the CSV in place of a damaged or deleted cache
+        and make the same outputs, so a record that lists the cache as no
+        output of its own still holds."""
+        root, outputs = recorded_workspace
+        assert run_preprocess(root)[0] == 0  # the cache now holds the CSV's table
+        (root / "out" / "lineage.json").unlink()
+        whole = self.whole(root, "out/table.cache")  # a cache hit: the record lists no cache
+        damaged = data.draw(st.sampled_from([None, flipped(data, whole)]), label="damage")
+        try:
+            code, printed = self.damage(root, "out/table.cache", damaged)
+        finally:
+            (root / "out" / "table.cache").write_bytes(whole)
+        assert code == 0 and printed["meta"]["skipped"] is True
+        assert (strip_meta(printed), work_files(root / "out")) == outputs
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_failed_run_keeps_the_record(self, recorded_workspace, data):
+        """A run that fails leaves the stage's earlier record as it was, and
+        once the input is mended that record holds again."""
+        root, _ = recorded_workspace
+        whole = self.whole(root, "out/selection.json")
+        lineage = (root / "out" / "lineage.json").read_bytes()
+        offset = data.draw(st.integers(0, len(whole.rstrip()) - 1), label="offset")
+        try:
+            assert self.damage(root, "out/selection.json", whole[:offset]) == (2, None)
+        finally:
+            (root / "out" / "selection.json").write_bytes(whole)
+        assert (root / "out" / "lineage.json").read_bytes() == lineage
+        assert run_preprocess(root)[1]["meta"]["skipped"] is True
+
+
+class TestLineageRecord:
+    """What a lineage record holds besides the settings and the work-dir
+    files: the environment and a predict.model override's bytes. A CSV
+    rewritten while it is parsed leaves no record."""
+
+    @pytest.mark.parametrize("change", ["threads", "package", "numpy"])
+    def test_changed_environment_reruns(self, csv_workspace, capsys, monkeypatch, change):
+        assert run_cmd(csv_workspace, "stats") == 0
+        if change == "threads":
+            monkeypatch.setenv("SEVPRED_TEST_NUM_THREADS", "3")
+        elif change == "package":
+            monkeypatch.setattr(cli, "_package_digest", lambda: "0" * 64)
+        else:
+            monkeypatch.setattr(np, "__version__", "0.0")
+        capsys.readouterr()
+        for skipped in (False, True):
+            assert run_cmd(csv_workspace, "stats") == 0
+            assert json.loads(capsys.readouterr().out)["meta"].get("skipped", False) is skipped
+
+    def test_changed_model_override_reruns(self, csv_workspace, capsys):
+        for cmd in ("associate", "preprocess", "train"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        out, model = csv_workspace / "out", csv_workspace / "override.model"
+        shutil.copyfile(out / "classifier.model", model)
+        for skipped in (False, True):
+            capsys.readouterr()
+            assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={model}") == 0
+            assert json.loads(capsys.readouterr().out)["meta"].get("skipped", False) is skipped
+        assert run_cmd(csv_workspace, "train", "--seed", "9") == 0
+        shutil.copyfile(out / "classifier.model", model)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={model}") == 0
+        assert "skipped" not in json.loads(capsys.readouterr().out)["meta"]
+
+    @pytest.mark.parametrize("stage", ["stats", "associate"])
+    def test_csv_rewritten_mid_read_leaves_no_record(self, csv_workspace, monkeypatch, stage):
+        ingest = cli.ingest_csv
+
+        def rewriting(path, *args, **kwargs):
+            table = ingest(path, *args, **kwargs)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return table
+
+        monkeypatch.setattr(cli, "ingest_csv", rewriting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cmd(csv_workspace, stage) == 0
+        assert not (csv_workspace / "out" / "lineage.json").exists()

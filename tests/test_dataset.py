@@ -348,14 +348,15 @@ class TestIngestMemory:
         than parsing the CSV: the CSV is hashed in blocks, never held."""
         path = write_accidents_csv(tmp_path / "accidents.csv", 20_000)
         settings = {"data": {"csv": str(path), "schema": str(ACCIDENTS_SCHEMA)}, "work_dir": str(tmp_path / "out")}
-        cli._load_table(settings, imputed=False)
+        cli._load_table(settings, cli.WorkDir(settings["work_dir"]), imputed=False)
         ingest_peak = traced_peak(lambda: ingest_csv(path, load_schema(ACCIDENTS_SCHEMA)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a cache hit parsed the CSV")
 
         monkeypatch.setattr(cli, "ingest_csv", refuse)
-        assert traced_peak(lambda: cli._load_table(settings, imputed=False)) <= ingest_peak
+        assert traced_peak(lambda: cli._load_table(settings, cli.WorkDir(settings["work_dir"]), imputed=False)) \
+            <= ingest_peak
 
 
 class TestTableFile:
