@@ -123,9 +123,9 @@ def read_arrays(fh, path: str | Path, sections) -> list[np.ndarray]:
 
 
 def file_sha256(path: str | Path) -> str:
-    """The hex sha256 of a file's bytes, read in 1 MiB blocks through one
+    """The hex sha256 of a file's bytes, read in 256 KiB blocks through one
     buffer, so memory stays flat at any file size."""
-    digest, block = hashlib.sha256(), bytearray(1 << 20)
+    digest, block = hashlib.sha256(), bytearray(1 << 18)
     with open(path, "rb") as fh:
         while n := fh.readinto(block):
             digest.update(memoryview(block)[:n])

@@ -5,8 +5,8 @@ workflow the evaluation harness implies (tune, cross-validate, ablate class
 weights) can re-run any stage independently. All randomness flows from one
 master seed via labeled derivation, making every report a deterministic
 function of the config; wall-clock metadata lives under a separate "meta"
-key so reports stay byte-comparable. Each stage keeps a lineage record in
-``<work_dir>/lineage.json`` and is skipped while that record still holds.
+key so reports stay byte-comparable. A stage is skipped while its lineage
+record in ``<work_dir>/lineage.json`` (what it read and wrote) still holds.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (or an input or
 model too large for this machine's memory), 3 numeric failure.
@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -249,7 +250,7 @@ class WorkDir:
 
     def __init__(self, root: str):
         self.root = Path(root)
-        self.inputs: dict = {}  # input -> its sha256, or the parsed schema
+        self.inputs: dict = {}  # input -> its sha256, the parsed schema, a settings section
         self.outputs: list[str] = []
         self.keyed = True  # false once the CSV no longer hashes as it did before it was parsed
 
@@ -269,19 +270,28 @@ class WorkDir:
 
 # -- lineage: a stage whose settings, inputs and outputs are unchanged is skipped
 
-READS = {  # stage -> the settings sections it reads, all of which its lineage record holds
-    "stats": ("data",),
-    "associate": ("data", "association"),
-    "preprocess": ("data", "seed", "split"),
-    "train-ae": ("seed", "autoencoder"),
-    "train": ("seed", "classifier", "use_encoder"),
-    "grid": ("seed", "classifier", "grid"),
-    "cv": ("seed", "classifier", "cv", "use_encoder"),
-    "predict": ("data", "work_dir", "use_encoder", "predict"),  # it prints its output's path
-    "pipeline": ("classifier",),  # its comparison; each of its stages keeps a record of its own
-}
-LINEAGE_FORMAT = "sevpred-lineage-1"
-RECORD = {"key": dict, "inputs": dict, "outputs": {str: str}, "payload": {"meta": dict}}
+LINEAGE_FORMAT = "sevpred-lineage-2"
+RECORD = {"inputs": dict, "outputs": {str: str}, "payload": {"meta": dict}}
+
+
+class _Reads(Mapping):
+    """The settings as a stage body sees them: each section it reads is
+    stored in ``inputs`` as ``settings.<section>``. A body's control flow
+    depends only on what it read, so while those reads and its other inputs
+    are unchanged it would do the same again."""
+
+    def __init__(self, settings: dict, inputs: dict):
+        self._settings, self._inputs = settings, inputs
+
+    def __getitem__(self, section: str):
+        self._inputs[f"settings.{section}"] = self._settings[section]
+        return self._settings[section]
+
+    def __iter__(self):
+        return iter(self._settings)
+
+    def __len__(self) -> int:
+        return len(self._settings)
 
 
 @functools.cache
@@ -332,8 +342,13 @@ def _lineage(root: Path) -> dict:
 
 
 def _input(name: str, settings: dict, root: Path):
-    """Input ``name`` of a lineage record as it is now: the parsed schema,
-    or the sha256 of the CSV, a ``predict.model`` override or an artifact."""
+    """Input ``name`` of a lineage record as it is now: a settings section,
+    the ``_environment``, the parsed schema, or the sha256 of the CSV, a
+    ``predict.model`` override or a work-dir file."""
+    if name.startswith("settings."):
+        return settings[name.removeprefix("settings.")]
+    if name == "environment":
+        return _environment()
     if name == "data.schema":
         return schema_to_dict(load_schema(settings["data"]["schema"]))
     if name in ("data.csv", "predict.model"):
@@ -342,55 +357,51 @@ def _input(name: str, settings: dict, root: Path):
     return file_sha256(root / name)
 
 
-def _holds(record: dict, key: dict, settings: dict, root: Path) -> bool:
-    """Whether a stage's lineage ``record`` still holds: it was made under
-    ``key``, and every input and output it names hashes as it did then."""
-    if json.dumps(record["key"], sort_keys=True) != json.dumps(key, sort_keys=True):
-        return False
+def _holds(record: dict, settings: dict, root: Path) -> bool:
+    """Whether a stage's lineage ``record`` still holds: each input, then
+    each output, is as it was, in canonical JSON (so ``1`` and ``1.0``
+    differ); settings and environment first, so a changed one costs no hashing."""
+    inputs = sorted(record["inputs"].items(), key=lambda item: not item[0].startswith(("settings.", "environment")))
     try:
-        return (all(_input(name, settings, root) == value for name, value in record["inputs"].items())
-                and all(file_sha256(root / name) == sha256 for name, sha256 in record["outputs"].items()))
-    except (OSError, ValueError, TypeError, PipelineError):  # gone or unreadable: the stage runs
+        return all(json.dumps(_input(name, settings, root), sort_keys=True) == json.dumps(value, sort_keys=True)
+                   for name, value in [*inputs, *record["outputs"].items()])
+    except (LookupError, OSError, ValueError, TypeError, PipelineError):  # gone or unreadable: the stage runs
         return False
 
 
 def _recorded(stage: str):
     """The stage function ``body(settings, work)`` as ``fn(settings)``, run
-    under its lineage record in ``<work_dir>/lineage.json``.
-
-    The record holds the key (the settings sections ``READS[stage]`` names
-    and the ``_environment``), what the run read (the CSV's sha256, the
-    parsed schema, each artifact ``WorkDir.read`` handed out, a
-    ``predict.model`` override), the sha256 of every file it wrote, and the
-    payload it printed. ``body`` gets those settings sections alone, so it
-    cannot read one its record leaves out. While the record holds, the
-    stage does no work and writes nothing: it returns the stored payload
-    with ``"skipped": true`` in its "meta". A record that does not hold, or
-    none, is a normal run, never an error; only a run that succeeds, with
-    the CSV still hashing as it did before it was parsed, rewrites the
-    record. A file the run writes is an output, not an input: no stage
-    derives a file from its own last copy. ``lineage.json`` is read once per
-    run, so of two processes recording at once the last rename wins and the
-    other's stage runs again next time.
+    under its lineage record in ``<work_dir>/lineage.json``: the run's
+    inputs (the settings sections ``body`` read through its ``_Reads`` view,
+    the ``_environment``, and what ``_source`` and ``WorkDir.read`` handed
+    out), the sha256 of every file it wrote, and the payload it printed.
+    While the record holds, the stage does no work and writes nothing: it
+    returns the stored payload with ``"skipped": true`` in its "meta". A
+    record that does not hold, or none, is a normal run, never an error;
+    only a run that succeeds, with the CSV still hashing as it did before it
+    was parsed, rewrites the record. A file the run writes is an output, not
+    an input: no stage derives a file from its own last copy.
+    ``lineage.json`` is read once per run, so of two processes recording at
+    once the last rename wins and the other's stage runs again next time.
     """
     def wrap(body):
         @functools.wraps(body)
         def run(settings: dict) -> dict:
             work = WorkDir(settings["work_dir"])
-            # train and cv keep one set of outputs per variant, so one record each
+            # work_dir and use_encoder pick the record, so they are read outside the
+            # view; train and cv keep one set of outputs per variant, one record each
             name = f"{stage}_encoded" if stage in ("train", "cv") and settings["use_encoder"] else stage
-            declared = {section: settings[section] for section in READS[stage]}
-            key = {"settings": declared, "environment": _environment()}
             stages = _lineage(work.root)
             record = stages.get(name)
-            if record is not None and _holds(record, key, settings, work.root):
+            if record is not None and _holds(record, settings, work.root):
                 record["payload"]["meta"]["skipped"] = True
                 return record["payload"]
-            payload = body(declared, work)
+            work.inputs["environment"] = _environment()
+            payload = body(_Reads(settings, work.inputs), work)
             if work.keyed:
                 outputs = {output: file_sha256(work.root / output) for output in work.outputs}
                 inputs = {i: value for i, value in work.inputs.items() if i not in outputs}
-                stages[name] = {"key": key, "inputs": inputs, "outputs": outputs, "payload": payload}
+                stages[name] = {"inputs": inputs, "outputs": outputs, "payload": payload}
                 with atomic_write(work.root / "lineage.json", "wb") as fh:
                     fh.write(_lineage_bytes(json.dumps(stages, separators=(",", ":")).encode("utf-8")))
             return payload
@@ -745,12 +756,12 @@ def stage_predict(settings: dict, work: WorkDir) -> dict:
     if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
         raise DataError(f"{model_path}: not a {k}-class classifier (a {k}-way softmax last layer)")
     preds = predict(params, spec, features)
-    output = work.write("predictions.csv")
-    _write_csv_rows(output, ["row", "severity_pred"], [[i, int(label)] for i, label in enumerate(preds)])
+    rows = [[i, int(label)] for i, label in enumerate(preds)]
+    _write_csv_rows(work.write("predictions.csv"), ["row", "severity_pred"], rows)
     return {
         "n_rows": table.n_rows,
         "n_dropped_missing_target": table.n_dropped,
-        "output": str(output),
+        "output": str(Path(settings["work_dir"], "predictions.csv")),  # a setting read, so the record holds it
         "meta": _meta("predict"),
     }
 
@@ -828,28 +839,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    stage_name = args.command
     try:
-        settings = build_config(args)
-        payload = STAGES[stage_name](settings)
+        payload = STAGES[args.command](build_config(args))
         print(json.dumps(payload, indent=2))
         return 0
-    except ConfigError as exc:
-        _emit_error(stage_name, exc)
-        return 1
-    except NumericError as exc:
-        _emit_error(stage_name, exc)
-        return 3
     except (PipelineError, OSError, MemoryError) as exc:  # MemoryError: too large for this machine
-        _emit_error(stage_name, exc)
-        return 2
-
-
-def _emit_error(stage: str, exc: Exception) -> None:
-    print(
-        json.dumps({"error": {"type": type(exc).__name__, "message": str(exc), "stage": stage}}),
-        file=sys.stderr,
-    )
+        error = {"type": type(exc).__name__, "message": str(exc), "stage": args.command}
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -500,6 +500,20 @@ class TestPredict:
         assert err["error"]["type"] == "DataError" and str(model) in err["error"]["message"]
         assert not (csv_workspace / "out" / "predictions.csv").exists()
 
+    def test_work_dir_spelled_otherwise_reruns(self, csv_workspace, capsys, monkeypatch):
+        """predict prints its output's path, so its record holds work_dir:
+        the same work dir spelled otherwise runs it again, and it prints the
+        path as now spelled."""
+        for cmd in ("associate", "preprocess", "train", "predict"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        monkeypatch.chdir(csv_workspace)
+        for work_dir, skipped in (("out", False), ("./out", False), ("./out", True)):
+            capsys.readouterr()
+            assert run_cmd(csv_workspace, "predict", "--work-dir", work_dir) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["meta"].get("skipped", False) is skipped
+            assert printed["output"] == str(Path(work_dir, "predictions.csv"))
+
     def test_missing_model_override_exit_2_names_it(self, csv_workspace, capsys):
         """An override is the user's path, not a work-dir artifact: no
         `sevpred train` hint, but the OSError naming the path."""
@@ -580,6 +594,20 @@ class TestPipeline:
         assert run_cmd(csv_workspace, "pipeline", "--set", "cv.folds=2", "--work-dir", str(fresh)) == 0
         assert strip_meta(json.loads(capsys.readouterr().out)) == warm
         assert work_files(out) == work_files(fresh)
+
+    def test_unread_section_edit_skips_every_stage(self, csv_workspace, capsys, counted):
+        """No pipeline stage reads ``grid``, so no lineage record holds it:
+        after a grid edit, pipeline skips every stage and its comparison
+        and rewrites no file."""
+        out = csv_workspace / "out"
+        assert run_cmd(csv_workspace, "pipeline") == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        counts = counted(*WORK)
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "pipeline", "--set", "grid.l2_penalty=[0.5]") == 0
+        assert [counts[name] for name in WORK] == [0, 0, 0, 0]
+        assert json.loads(capsys.readouterr().out)["meta"]["skipped"] is True
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
     def test_use_encoder_runs_the_pipeline_variant(self, csv_workspace):
         """One use_encoder switch picks the latent input for train, cv and
@@ -1361,15 +1389,15 @@ RECORDED = {**cli.STAGES, "pipeline": cli._compare}
 
 
 class TestDeclaredSettings:
-    """A stage's lineage record holds only the settings sections
-    ``cli.READS`` declares for it, so nothing else may decide its outputs: a
-    fresh run under a config that changes every leaf outside them gives what
-    the workspace config gives, modulo "meta". Otherwise a skip could hide a
-    setting the stage really reads."""
+    """A stage's lineage record holds, as ``settings.<section>`` inputs, the
+    settings sections its run read, so nothing else may decide its outputs:
+    a fresh run under a config that changes every leaf outside the sections
+    the workspace config's run recorded gives what that run gave, modulo
+    "meta". Otherwise a skip could hide a setting the stage really reads."""
 
     @staticmethod
-    def settings(root, config: str = "config.json") -> dict:
-        config = json.loads((root / config).read_text(encoding="utf-8"))
+    def settings(root) -> dict:
+        config = json.loads((root / "config.json").read_text(encoding="utf-8"))
         return cli._deep_merge(copy.deepcopy(DEFAULTS), config)
 
     def test_other_changes_every_leaf(self, csv_workspace):
@@ -1378,7 +1406,7 @@ class TestDeclaredSettings:
         assert list(other) == list(base)
         assert [path for path in base if other[path] == base[path]] == []
 
-    @pytest.mark.parametrize("stage", sorted(cli.READS))
+    @pytest.mark.parametrize("stage", sorted(cli.STAGES))
     def test_undeclared_settings_change_nothing(self, csv_workspace, stage):
         root = csv_workspace
         base = self.settings(root)
@@ -1389,22 +1417,24 @@ class TestDeclaredSettings:
         if NEEDS.get(stage):
             (root / "out" / "lineage.json").unlink()  # so the stage runs rather than skips
             shutil.copytree(root / "out", prepared)
-        other = {section: base[section] if section in cli.READS[stage] else OTHER[section] for section in base}
-        if "work_dir" not in cli.READS[stage]:
-            other["work_dir"] = str(root / "other")
-        (root / "other.json").write_text(json.dumps(other), encoding="utf-8")
 
-        results = []
-        for config in ("config.json", "other.json"):
-            cfg = self.settings(root, config)
+        def fresh_run(cfg: dict) -> tuple[tuple, dict]:
+            """What the stage prints and leaves from a fresh work dir, and
+            its lineage record."""
             cli.validate(cfg)
             work = Path(cfg["work_dir"])
             shutil.rmtree(work, ignore_errors=True)
             if prepared.exists():
                 shutil.copytree(prepared, work)
             payload = json.loads(json.dumps(RECORDED[stage](cfg)))
-            results.append((strip_meta(payload), work_files(work)))
-        assert results[0] == results[1]
+            return (strip_meta(payload), work_files(work)), cli._lineage(work)[stage]
+
+        result, record = fresh_run(base)
+        read = {name.removeprefix("settings.") for name in record["inputs"] if name.startswith("settings.")}
+        other = {section: base[section] if section in read else OTHER[section] for section in base}
+        if "work_dir" not in read:
+            other["work_dir"] = str(root / "other")
+        assert fresh_run(other)[0] == result
 
 
 @pytest.fixture(scope="module")
