@@ -1,9 +1,9 @@
 """The artifact file layer every pipeline stage writes and reads through.
 
-Files are written atomically. Feature matrices, models and the work dir's
-keyed caches share one layout: a JSON manifest line (UTF-8, newline
-terminated), then a blob of little-endian typed sections. JSON artifacts are
-checked against a ``json_fits`` shape.
+Files are written atomically. Feature matrices and models are a JSON manifest
+line (UTF-8, newline terminated), then a blob of little-endian typed sections;
+the work dir's keyed files frame their manifest with its sha256 in that line.
+JSON artifacts are checked against a ``json_fits`` shape.
 """
 
 from __future__ import annotations
@@ -132,38 +132,57 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _keyed_digest(body: dict, arrays) -> str:
-    """sha256 of a keyed file's manifest fields (all but its digest) and data."""
-    digest = hashlib.sha256(json.dumps(body).encode("utf-8"))
+# the layout of every keyed file: a head line that is one JSON object of this
+# name, the sha256 and the manifest, then the manifest's sections
+KEYED_FORMAT = "sevpred-keyed-1"
+_HEAD = f'{{"format":"{KEYED_FORMAT}","sha256":"'.encode("utf-8")
+_BODY = len(_HEAD) + 64 + len('","manifest":')  # where the manifest's JSON starts
+
+
+def _head(sha256: bytes, body: bytes) -> bytes:
+    """A keyed file's head line around the hex ``sha256`` and the manifest's JSON ``body``."""
+    return _HEAD + sha256 + b'","manifest":' + body + b"}\n"
+
+
+def _digest(body: bytes, arrays) -> bytes:
+    """The hex sha256 of a keyed file's manifest bytes followed by its data."""
+    digest = hashlib.sha256(body)
     for a in arrays:
         digest.update(a.view(np.uint8))
-    return digest.hexdigest()
+    return digest.hexdigest().encode("ascii")
 
 
-def save_keyed(path: str | Path, fmt: str, key: dict, fields: dict, sections) -> None:
+def save_keyed(path: str | Path, key: dict, fields: dict, sections) -> None:
     """Write each ``(dtype, array)`` section under ``key``, the JSON of what
-    decided the data: one manifest line with the format ``fmt``, the key,
-    ``fields`` and a sha256 of all of those and the data, then the sections
-    as in :func:`save_blob`. The work dir's caches are such files."""
+    decided the data: the head line holds the manifest ``{"key": key,
+    **fields}`` as compact JSON and the sha256 of those bytes and the data,
+    then come the sections. With no sections the file is one JSON text."""
     arrays = [np.ascontiguousarray(a, dtype=dtype).reshape(-1) for dtype, a in sections]
-    manifest = {"format": fmt, "key": key, **fields}
-    manifest["sha256"] = _keyed_digest(manifest, arrays)
-    save_blob(path, manifest, [(a.dtype, a) for a in arrays])
+    body = json.dumps({"key": key, **fields}, separators=(",", ":")).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(_head(_digest(body, arrays), body))
+        for a in arrays:
+            fh.write(memoryview(a.view(np.uint8)))
 
 
-def load_keyed(path: str | Path, fmt: str, key: dict, kind: str, shape: dict,
-               sections) -> tuple[dict, list[np.ndarray]]:
-    """The manifest (without its sha256) and flat arrays that
-    :func:`save_keyed` wrote to ``path`` under ``key``; DataError if the
-    file is cut or corrupt, names another format or key, has a field that
-    does not fit the ``json_fits`` ``shape``, or fails its sha256.
+def load_keyed(path: str | Path, key: dict, kind: str, shape: dict, sections) -> tuple[dict, list[np.ndarray]]:
+    """The manifest and flat arrays that :func:`save_keyed` wrote to
+    ``path`` under ``key``; DataError if the file is cut or corrupt, is of
+    another layout or key, has a field that does not fit the ``json_fits``
+    ``shape``, or fails its sha256, taken over the bytes as they were read.
     ``sections(manifest)`` gives the ``(dtype, count)`` sections."""
     with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, (fmt,), kind)
-        if not (manifest.get("key") == key and json_fits(manifest, {**shape, "sha256": str})):
+        line = fh.readline()
+        sha256, body = line[len(_HEAD):len(_HEAD) + 64], line[_BODY:-2]
+        if line != _head(sha256, body):
+            raise DataError(f"{path}: not a keyed {kind} file")
+        try:
+            manifest = json.loads(body)
+        except ValueError:
+            raise DataError(f"{path}: unreadable {kind} manifest") from None
+        if not (json_fits(manifest, shape) and manifest.get("key") == key):
             raise DataError(f"{path}: not a {kind} saved under this key")
         arrays = read_arrays(fh, path, sections(manifest))
-    sha256 = manifest.pop("sha256")
-    if _keyed_digest(manifest, arrays) != sha256:
+    if _digest(body, arrays) != sha256:
         raise DataError(f"{path}: {kind} does not match its sha256")
     return manifest, arrays

@@ -20,11 +20,6 @@ from .dataset import ColumnKind, Table, factorize
 from .errors import DataError, LengthMismatch, MissingColumn
 
 DEFAULT_BINS = 10
-# the format of a saved association matrix; bump it whenever the bits
-# association_matrix gives for an imputed ingested table can change (the
-# imputation, the binning or the V arithmetic), so a matrix an older rule
-# computed is never read back
-MATRIX_FORMAT = "sevpred-assoc-1"
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import MATRIX_FORMAT, AssociationMatrix, association_matrix, select_features
+from .association import AssociationMatrix, association_matrix, select_features
 from .artifacts import atomic_write, file_sha256, json_fits, load_json_artifact, load_keyed, save_keyed
-from .dataset import TABLE_FORMAT, ColumnKind, SchemaSpec, Table, impute, ingest_csv, load_schema, load_table
+from .dataset import ColumnKind, SchemaSpec, Table, impute, ingest_csv, load_schema, load_table
 from .dataset import save_table, schema_to_dict, summarize
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
@@ -234,10 +234,10 @@ MADE_BY = {  # artifact -> the stage that writes it, for the hint when it is mis
 }
 
 
-# What a keyed cache holds is decided by its key (the CSV's sha256, the
-# schema, settings), which a lineage record holds already, and a read checks
-# it against its own sha256, so it is no input of the stage that reads it.
-# It is an output of the stage that writes it, which a damaged one re-runs.
+# A keyed cache is keyed by the lineage inputs that decide what it holds (see
+# WorkDir.key), and a read checks it against its own sha256, so it is no input
+# of the stage that reads it. It is an output of the stage that writes it,
+# which a damaged one re-runs.
 KEYED_CACHES = ("table.cache", "association.cache")
 
 
@@ -250,7 +250,7 @@ class WorkDir:
 
     def __init__(self, root: str):
         self.root = Path(root)
-        self.inputs: dict = {}  # input -> its sha256, the parsed schema, a settings section
+        self.inputs: dict = {"environment": _environment()}  # input -> its sha256, the schema, a section
         self.outputs: list[str] = []
         self.keyed = True  # false once the CSV no longer hashes as it did before it was parsed
 
@@ -267,10 +267,14 @@ class WorkDir:
         self.outputs.append(name)
         return self.root / name
 
+    def key(self, **settings) -> dict:
+        """A keyed cache's key: the lineage inputs ``data.csv`` and
+        ``data.schema`` (taken by ``_source``) and ``environment``, then ``settings``."""
+        return {name: self.inputs[name] for name in ("data.csv", "data.schema", "environment")} | settings
+
 
 # -- lineage: a stage whose settings, inputs and outputs are unchanged is skipped
 
-LINEAGE_FORMAT = "sevpred-lineage-2"
 RECORD = {"inputs": dict, "outputs": {str: str}, "payload": {"meta": dict}}
 
 
@@ -316,57 +320,49 @@ def _environment() -> dict:
     }
 
 
-def _lineage_bytes(body: bytes) -> bytes:
-    """``lineage.json`` around the stage records' compact JSON ``body``: an
-    object of its format, the body's sha256 and, last, the records."""
-    head = f'{{"format":"{LINEAGE_FORMAT}","sha256":"{hashlib.sha256(body).hexdigest()}","stages":'
-    return head.encode("utf-8") + body + b"}\n"
-
-
 def _lineage(root: Path) -> dict:
-    """The stage records in ``<root>/lineage.json``: none if the file is
-    absent, names another format, or its records fail their sha256 or the
-    record shape, so a cut, edited or foreign file holds no record."""
+    """The stage records in ``<root>/lineage.json``, a keyed file under the
+    empty key: none if the file is absent or ``load_keyed`` refuses it, so a
+    cut, edited or foreign file holds no record."""
     try:
-        data = (root / "lineage.json").read_bytes()
-    except OSError:
+        manifest, _ = load_keyed(root / "lineage.json", {}, "lineage", {"stages": {str: RECORD}}, lambda _: [])
+    except (OSError, DataError):
         return {}
-    body = data[len(_lineage_bytes(b"")) - 2:-2]  # between the head and the closing "}\n"
-    if data != _lineage_bytes(body):
-        return {}
-    try:
-        stages = json.loads(body)
-    except ValueError:
-        return {}
-    return stages if json_fits(stages, {str: RECORD}) else {}
+    return manifest["stages"]
 
 
-def _input(name: str, settings: dict, root: Path):
+def _input(name: str, settings: dict, work: WorkDir):
     """Input ``name`` of a lineage record as it is now: a settings section,
-    the ``_environment``, the parsed schema, or the sha256 of the CSV, a
-    ``predict.model`` override or a work-dir file."""
+    the ``_environment`` this run took, the parsed schema, or the sha256 of
+    the CSV, a ``predict.model`` override or a work-dir file."""
     if name.startswith("settings."):
         return settings[name.removeprefix("settings.")]
     if name == "environment":
-        return _environment()
+        return work.inputs[name]
     if name == "data.schema":
         return schema_to_dict(load_schema(settings["data"]["schema"]))
     if name in ("data.csv", "predict.model"):
         section, field = name.split(".")
         return file_sha256(settings[section][field])
-    return file_sha256(root / name)
+    return file_sha256(work.root / name)
 
 
-def _holds(record: dict, settings: dict, root: Path) -> bool:
+def _holds(record: dict, settings: dict, work: WorkDir) -> bool:
     """Whether a stage's lineage ``record`` still holds: each input, then
     each output, is as it was, in canonical JSON (so ``1`` and ``1.0``
     differ); settings and environment first, so a changed one costs no hashing."""
     inputs = sorted(record["inputs"].items(), key=lambda item: not item[0].startswith(("settings.", "environment")))
     try:
-        return all(json.dumps(_input(name, settings, root), sort_keys=True) == json.dumps(value, sort_keys=True)
+        return all(json.dumps(_input(name, settings, work), sort_keys=True) == json.dumps(value, sort_keys=True)
                    for name, value in [*inputs, *record["outputs"].items()])
     except (LookupError, OSError, ValueError, TypeError, PipelineError):  # gone or unreadable: the stage runs
         return False
+
+
+def _suffix(settings: Mapping) -> str:
+    """What the ``use_encoder`` variant adds to the names of its artifacts,
+    seeds and lineage record."""
+    return "_encoded" if settings["use_encoder"] else ""
 
 
 def _recorded(stage: str):
@@ -390,20 +386,18 @@ def _recorded(stage: str):
             work = WorkDir(settings["work_dir"])
             # work_dir and use_encoder pick the record, so they are read outside the
             # view; train and cv keep one set of outputs per variant, one record each
-            name = f"{stage}_encoded" if stage in ("train", "cv") and settings["use_encoder"] else stage
+            name = stage + _suffix(settings) if stage in ("train", "cv") else stage
             stages = _lineage(work.root)
             record = stages.get(name)
-            if record is not None and _holds(record, settings, work.root):
+            if record is not None and _holds(record, settings, work):
                 record["payload"]["meta"]["skipped"] = True
                 return record["payload"]
-            work.inputs["environment"] = _environment()
             payload = body(_Reads(settings, work.inputs), work)
             if work.keyed:
                 outputs = {output: file_sha256(work.root / output) for output in work.outputs}
                 inputs = {i: value for i, value in work.inputs.items() if i not in outputs}
                 stages[name] = {"inputs": inputs, "outputs": outputs, "payload": payload}
-                with atomic_write(work.root / "lineage.json", "wb") as fh:
-                    fh.write(_lineage_bytes(json.dumps(stages, separators=(",", ":")).encode("utf-8")))
+                save_keyed(work.root / "lineage.json", {}, {"stages": stages}, [])
             return payload
 
         return run
@@ -449,25 +443,25 @@ def _load_table(settings: dict, work: WorkDir, source: tuple | None = None, *,
     ``_source(settings, work)``). ``work`` is the stage's work dir, which
     records what was read.
 
-    ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under a
-    key of what decides it: that sha256 of the CSV's bytes and the schema
-    (the file's format names the ingest rules).
-    A stage whose key matches reads the table back instead of parsing the
-    CSV; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
-    never an error. After an ingest the CSV is hashed again: only if it
-    still hashes to the key is the cache written (the work dir is not made
-    before then); otherwise ``work.keyed`` turns false, so the stage keeps
-    nothing it derives from the table and leaves no lineage record either.
+    ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under
+    ``work.key()``, the lineage inputs that decide it: that sha256 of the
+    CSV's bytes, the schema and the environment, which holds the code of the
+    ingest rules. A stage whose key matches reads the table back instead of
+    parsing the CSV; a cache that is absent, cut, corrupt or keyed otherwise
+    is a miss, never an error. After an ingest the CSV is hashed again: only
+    if it still hashes to the key is the cache written (the work dir is not
+    made before then); otherwise ``work.keyed`` turns false, so the stage
+    keeps nothing it derives from the table and leaves no lineage record
+    either.
     """
     csv_path, schema, sha256 = source or _source(settings, work)
-    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema)}
     try:
-        table = load_table(work.read("table.cache"), schema, key)
+        table = load_table(work.read("table.cache"), schema, work.key())
     except (OSError, DataError):
         table = ingest_csv(csv_path, schema)
         work.keyed &= file_sha256(csv_path) == sha256  # not rewritten while it was parsed
         if work.keyed:
-            save_table(work.write("table.cache"), table, key)
+            save_table(work.write("table.cache"), table, work.key())
     return impute(table) if imputed else table
 
 
@@ -486,24 +480,22 @@ def stage_stats(settings: dict, work: WorkDir) -> dict:
 def stage_associate(settings: dict, work: WorkDir) -> dict:
     """Cramer's V over every schema column and the selection it implies.
 
-    The matrix is kept in ``<work_dir>/association.cache`` under a key of
-    what decides it: the CSV's sha256, the schema, ``n_bins``,
-    ``bias_corrected`` and the table format (the file's format names the
-    matrix rules). The threshold is not in the key. A stage whose key
-    matches writes both artifacts from the kept matrix without reading the
-    table; a cache that is absent, cut, corrupt or keyed otherwise is a miss,
-    never an error. A miss computes the matrix from ``_load_table``'s table
-    and keeps it only if that table is the keyed CSV's.
+    The matrix is kept in ``<work_dir>/association.cache`` under
+    ``work.key`` of ``n_bins`` and ``bias_corrected``: those, the CSV's
+    sha256, the schema and the environment, which holds the code of the
+    ingest, imputation and matrix rules. The threshold is not in the key. A
+    stage whose key matches writes both artifacts from the kept matrix
+    without reading the table; a cache that is absent, cut, corrupt or keyed
+    otherwise is a miss, never an error. A miss computes the matrix from
+    ``_load_table``'s table and keeps it only if that table is the keyed CSV's.
     """
     source = _source(settings, work)
-    _, schema, sha256 = source
+    _, schema, _ = source
     assoc_cfg = settings["association"]
-    key = {"csv_sha256": sha256, "schema": schema_to_dict(schema), "n_bins": assoc_cfg["n_bins"],
-           "bias_corrected": assoc_cfg["bias_corrected"], "table_format": TABLE_FORMAT}
+    key = work.key(n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"])
     n = len(schema.names)
     try:
-        _, (values,) = load_keyed(work.read("association.cache"), MATRIX_FORMAT, key,
-                                  "matrix", {}, lambda _: [("<f8", n * n)])
+        _, (values,) = load_keyed(work.read("association.cache"), key, "matrix", {}, lambda _: [("<f8", n * n)])
         matrix = AssociationMatrix(tuple(schema.names), values.reshape(n, n))
     except (OSError, DataError):
         table = _load_table(settings, work, source)
@@ -511,8 +503,7 @@ def stage_associate(settings: dict, work: WorkDir) -> dict:
             table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
         )
         if work.keyed:
-            save_keyed(work.write("association.cache"), MATRIX_FORMAT, key, {},
-                       [("<f8", matrix.values)])
+            save_keyed(work.write("association.cache"), key, {}, [("<f8", matrix.values)])
     rows = [
         [label, *[repr(float(v)) for v in matrix.values[i]]]
         for i, label in enumerate(matrix.labels)
@@ -629,8 +620,7 @@ def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights |
 
 @_recorded("train")
 def stage_train(settings: dict, work: WorkDir) -> dict:
-    encoded = settings["use_encoder"]
-    suffix = "_encoded" if encoded else ""
+    encoded, suffix = settings["use_encoder"], _suffix(settings)
     features, labels, k = _load_features(work, encoded=encoded)
     splits = _load_splits(work, features.n)
 
@@ -709,8 +699,7 @@ def _cv_runner(settings: dict, k: int):
 
 @_recorded("cv")
 def stage_cv(settings: dict, work: WorkDir) -> dict:
-    encoded = settings["use_encoder"]
-    suffix = "_encoded" if encoded else ""
+    encoded, suffix = settings["use_encoder"], _suffix(settings)
     features, labels, k = _load_features(work, encoded=encoded)
     result = cross_validate(
         _cv_runner(settings, k),
@@ -737,18 +726,16 @@ def stage_cv(settings: dict, work: WorkDir) -> dict:
 
 @_recorded("predict")
 def stage_predict(settings: dict, work: WorkDir) -> dict:
-    encoded = settings["use_encoder"]
-    suffix = "_encoded" if encoded else ""
     # read directly: a table without its target would evict the labeled one
     csv_path, schema, sha256 = _source(settings, work)
     table = impute(ingest_csv(csv_path, schema, require_target=False))
     work.keyed &= file_sha256(csv_path) == sha256
     codec, standardizer, column_order = load_preprocessor(work.read("preprocessor.json"))
     features = assemble(table, codec, standardizer, column_order)
-    if encoded:
+    if settings["use_encoder"]:
         ae_spec, ae_params, _ = load_model(work.read("autoencoder.model"))
         features = encode(ae_spec, ae_params, features)
-    model_path = Path(settings["predict"]["model"] or work.read(f"classifier{suffix}.model"))
+    model_path = Path(settings["predict"]["model"] or work.read(f"classifier{_suffix(settings)}.model"))
     if settings["predict"]["model"]:
         work.inputs["predict.model"] = file_sha256(model_path)
     spec, params, _ = load_model(model_path)

@@ -1,6 +1,6 @@
 """Schema-driven tabular data: CSV ingestion, imputation, summary statistics,
 a synthetic imbalanced-data generator for desk-scale experiments, and the
-table cache file (``save_table``/``load_table``), a keyed :mod:`sevpred.artifacts` file.
+table file (``save_table``/``load_table``), a keyed :mod:`sevpred.artifacts` file.
 
 A :class:`Table` is column-oriented: numeric columns are float64 arrays,
 categorical/boolean columns int64 codes into per-column ``str`` labels, the
@@ -182,9 +182,6 @@ def factorize(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 INGEST_CHUNK = 1024  # CSV rows ingest_csv codes per step
-# the format of a saved table; bump it whenever ingest_csv's rules change,
-# so a table an older rule parsed is never read back
-TABLE_FORMAT = "sevpred-table-1"
 
 
 def _parse_numeric(text: str) -> float:
@@ -232,9 +229,10 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     in ``Table.n_dropped``. A parseable target outside ``1..K`` raises
     :class:`TargetOutOfRange` with the row's index among the data lines.
 
-    The header is checked before any row is read, and the rows are read in
-    one pass of INGEST_CHUNK-row chunks, so the first fault in line order is
-    the one raised. Categorical/boolean cells become codes of their raw text
+    The header is checked before any row is read: DataError for a schema
+    column it names twice, MissingColumn for one it lacks. The rows are read
+    in one pass of INGEST_CHUNK-row chunks, so the first fault in line order
+    is the one raised. Categorical/boolean cells become codes of their raw text
     as each chunk arrives; only the distinct raw labels are trimmed, at the
     end, and each distinct target text is parsed once per chunk. Memory is
     one chunk of cells plus the codes and values.
@@ -242,10 +240,6 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
     With ``require_target=False`` the target column may be absent from the
     header and is never read when present: every data line is kept
     (``n_dropped`` is 0) with the placeholder label 1, as ``predict`` needs.
-
-    The CLI saves a labeled table with :func:`save_table` and reads it back
-    while the CSV's bytes and the schema are unchanged, so a change to these
-    rules must bump ``TABLE_FORMAT``; ``predict``'s table is never saved.
     """
     target_name, k = schema.target, schema.target_cardinality
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -256,6 +250,8 @@ def ingest_csv(path: str | Path, schema: SchemaSpec, *, require_target: bool = T
         header = [h.strip() for h in header]
         positions: dict[str, int] = {}
         for name in schema.names:
+            if header.count(name) > 1:
+                raise DataError(f"{path}: the header names column {name!r} more than once")
             if name in header:
                 positions[name] = header.index(name)
             elif name != target_name or require_target:
@@ -531,8 +527,8 @@ def save_table(path: str | Path, table: Table, key: dict) -> None:
         "labels": {name: labels.tolist() for name, labels in table.labels.items()},
     }
     sections = _table_sections(table.schema, table.n_rows)
-    save_keyed(path, TABLE_FORMAT, key, fields,
-               [(dtype, table.columns[name]) for name, (dtype, _) in zip(table.schema.names, sections)])
+    save_keyed(path, key, fields, [(dtype, table.columns[name])
+                                   for name, (dtype, _) in zip(table.schema.names, sections)])
 
 
 def load_table(path: str | Path, schema: SchemaSpec, key: dict) -> Table:
@@ -540,8 +536,7 @@ def load_table(path: str | Path, schema: SchemaSpec, key: dict) -> Table:
     ``ingest_csv`` returned it; DataError if :func:`load_keyed` refuses the
     file or it holds columns other than ``schema``'s."""
     shape = {"n_rows": range(2**63), "n_dropped": range(2**63), "labels": {str: [str]}}
-    manifest, arrays = load_keyed(path, TABLE_FORMAT, key, "table", shape,
-                                  lambda m: _table_sections(schema, m["n_rows"]))
+    manifest, arrays = load_keyed(path, key, "table", shape, lambda m: _table_sections(schema, m["n_rows"]))
     categorical = [name for name, kind in schema.columns
                    if kind in (ColumnKind.CATEGORICAL, ColumnKind.BOOLEAN)]
     if list(manifest["labels"]) != categorical:

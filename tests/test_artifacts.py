@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import sevpred
 from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, init_params
-from sevpred.artifacts import atomic_write
+from sevpred.artifacts import KEYED_FORMAT, atomic_write, load_keyed, save_keyed
 from sevpred.cli import _write_json
 from sevpred.errors import DataError
 from sevpred.neural import load_model, save_model
@@ -76,6 +77,86 @@ class TestTruncatedArtifacts:
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(DataError):
             load(path)
+
+
+KEY = {"data.csv": "0" * 64, "n_bins": 10}
+FIELDS = {"labels": ["a", "\u00e9", ""]}
+# a keyed file's sections: none, as lineage.json has, or two of two dtypes
+SECTIONS = {
+    "none": [],
+    "two": [("<f8", np.array([[1.5, -0.0], [np.nan, 2.0]])), ("<i4", np.array([3, -1, 7]))],
+}
+
+
+def save_layout(path, layout: str) -> bytes:
+    """Write the keyed file of ``layout`` to ``path``; its bytes."""
+    save_keyed(path, KEY, FIELDS, SECTIONS[layout])
+    return path.read_bytes()
+
+
+def load_layout(path, layout: str, key: dict = KEY):
+    return load_keyed(path, key, "test", {"labels": [str]},
+                      lambda manifest: [(dtype, np.size(a)) for dtype, a in SECTIONS[layout]])
+
+
+class TestKeyedFile:
+    """``save_keyed``/``load_keyed``, the one layout of the work dir's
+    keyed files: a read gives back the manifest and the sections bit for
+    bit, and any other key, flipped byte or cut is a DataError."""
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_round_trip(self, tmp_path, layout):
+        save_layout(tmp_path / "file", layout)
+        manifest, arrays = load_layout(tmp_path / "file", layout)
+        assert manifest == {"key": KEY, **FIELDS}
+        assert [(a.dtype, a.tobytes()) for a in arrays] == \
+            [(np.dtype(dtype), np.asarray(a, dtype).tobytes()) for dtype, a in SECTIONS[layout]]
+
+    def test_without_sections_is_one_json_text(self, tmp_path):
+        """The head line is the whole file, and its sha256 is that of the
+        manifest's compact JSON bytes."""
+        whole = save_layout(tmp_path / "file", "none")
+        body = json.dumps({"key": KEY, **FIELDS}, separators=(",", ":")).encode("utf-8")
+        assert json.loads(whole) == {"format": KEYED_FORMAT, "sha256": hashlib.sha256(body).hexdigest(),
+                                     "manifest": {"key": KEY, **FIELDS}}
+        assert whole.endswith(body + b"}\n")
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_other_key_is_data_error(self, tmp_path, layout):
+        save_layout(tmp_path / "file", layout)
+        for key in ({**KEY, "n_bins": 11}, {"data.csv": KEY["data.csv"]}, {}):
+            with pytest.raises(DataError, match="key"):
+                load_layout(tmp_path / "file", layout, key)
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_every_flipped_byte_is_data_error(self, tmp_path, layout):
+        path = tmp_path / "file"
+        whole = save_layout(path, layout)
+        for offset in range(len(whole)):
+            for mask in (0x01, 0x20, 0xff):
+                damaged = bytearray(whole)
+                damaged[offset] ^= mask
+                path.write_bytes(damaged)
+                with pytest.raises(DataError):
+                    load_layout(path, layout)
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_every_cut_is_data_error(self, tmp_path, layout):
+        """Every cut, down to the last byte alone: with no sections, the
+        final newline."""
+        path = tmp_path / "file"
+        whole = save_layout(path, layout)
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(DataError):
+                load_layout(path, layout)
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_trailing_bytes_are_data_error(self, tmp_path, layout):
+        path = tmp_path / "file"
+        path.write_bytes(save_layout(path, layout) + b"\n")
+        with pytest.raises(DataError):
+            load_layout(path, layout)
 
 
 class TestAtomicWrite:

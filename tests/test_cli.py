@@ -83,6 +83,16 @@ class TestStats:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "MissingColumn"
 
+    def test_column_named_twice_exit_2(self, csv_workspace, capsys):
+        path = csv_workspace / "data.csv"
+        header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(f"{header},num_0\n{rows}", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "stats") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "'num_0' more than once" in err["error"]["message"]
+
     def test_memory_error_exit_2(self, csv_workspace, capsys, monkeypatch):
         """An input or model too large for the machine ends in a JSON error."""
         def out_of_memory(table):
@@ -632,6 +642,15 @@ class TestPipeline:
         assert history["config"]["use_class_weights"] is False
 
 
+def change_environment(monkeypatch, part: str) -> None:
+    """Make ``cli._environment`` report other package code or another numpy
+    version, as a new release of either would."""
+    if part == "package":
+        monkeypatch.setattr(cli, "_package_digest", lambda: "0" * 64)
+    else:
+        monkeypatch.setattr(np, "__version__", "0.0")
+
+
 @pytest.fixture
 def ingests(monkeypatch):
     """The CSV paths of the calls the CLI makes to ``ingest_csv``."""
@@ -648,8 +667,8 @@ def ingests(monkeypatch):
 
 class TestTableCache:
     """A labeled stage reads ``data.csv``'s table back from ``table.cache``
-    while the CSV's bytes and the schema are unchanged; ``predict`` parses
-    its CSV directly and leaves the cache alone."""
+    while the CSV's bytes, the schema and the environment are unchanged;
+    ``predict`` parses its CSV directly and leaves the cache alone."""
 
     def test_second_associate_does_not_ingest(self, csv_workspace, ingests):
         assert run_cmd(csv_workspace, "associate") == 0
@@ -704,12 +723,15 @@ class TestTableCache:
         assert run_cmd(csv_workspace, "predict", "--set", f"data.csv={copy_path}") == 0
         assert cache.read_bytes() == before
 
-    @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind"])
-    def test_changed_input_reingests(self, csv_workspace, capsys, ingests, edit):
-        """A one-cell edit of the CSV that keeps its length, or a schema
-        edit, re-ingests: stats prints what it prints in a fresh work dir."""
+    @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind", "package", "numpy"])
+    def test_changed_input_reingests(self, csv_workspace, capsys, ingests, monkeypatch, edit):
+        """A one-cell edit of the CSV that keeps its length, a schema edit,
+        or other package code or numpy version re-ingests: stats prints what
+        it prints in a fresh work dir."""
         assert run_cmd(csv_workspace, "stats") == 0
-        if edit == "csv-cell":
+        if edit in ("package", "numpy"):
+            change_environment(monkeypatch, edit)
+        elif edit == "csv-cell":
             path = csv_workspace / "data.csv"
             text = path.read_text(encoding="utf-8")
             at = text.index("\n") + 1
@@ -772,8 +794,8 @@ def associate_outputs(root, capsys, *args):
 
 class TestAssociationCache:
     """``associate`` writes its artifacts from ``association.cache`` while
-    the CSV's bytes, the schema, ``n_bins`` and ``bias_corrected`` are
-    unchanged; the threshold is not part of the key."""
+    the CSV's bytes, the schema, the environment, ``n_bins`` and
+    ``bias_corrected`` are unchanged; the threshold is not part of the key."""
 
     def test_second_associate_computes_nothing(self, csv_workspace, capsys, ingests, matrices, monkeypatch):
         first = associate_outputs(csv_workspace, capsys)
@@ -796,13 +818,17 @@ class TestAssociationCache:
         assert warm == fresh
         assert warm[1]["threshold"] == 0.1
 
-    @pytest.mark.parametrize("edit", ["n_bins", "bias_corrected", "csv-cell", "schema-kind"])
-    def test_changed_key_recomputes(self, csv_workspace, capsys, matrices, edit):
+    @pytest.mark.parametrize("edit", ["n_bins", "bias_corrected", "csv-cell", "schema-kind", "package", "numpy"])
+    def test_changed_key_recomputes(self, csv_workspace, capsys, ingests, matrices, monkeypatch, edit):
         """Each part of the key, changed alone, recomputes the matrix, and
-        the outputs are what a fresh work dir gives."""
+        the outputs are what a fresh work dir gives. An edit of the CSV, the
+        schema or the environment also re-ingests it; the table cache's key
+        holds no association setting."""
         associate_outputs(csv_workspace, capsys)
         args = ()
-        if edit == "n_bins":
+        if edit in ("package", "numpy"):
+            change_environment(monkeypatch, edit)
+        elif edit == "n_bins":
             args = ("--set", "association.n_bins=4")
         elif edit == "bias_corrected":
             args = ("--set", "association.bias_corrected=true")
@@ -818,6 +844,7 @@ class TestAssociationCache:
                             encoding="utf-8")
         warm = associate_outputs(csv_workspace, capsys, *args)
         assert len(matrices) == 2
+        assert len(ingests) == (1 if edit in ("n_bins", "bias_corrected") else 2)
         fresh = associate_outputs(csv_workspace, capsys, *args, "--work-dir", str(csv_workspace / "fresh"))
         assert warm == fresh
 
@@ -1472,7 +1499,8 @@ class TestDamagedLineage:
     """A stage runs, never skips, unless its lineage record holds, and a
     record that does not hold is never an error. ``preprocess``, damaged
     here, reads the CSV, the schema, selection.json and table.cache, whose
-    key the CSV's hash and the schema decide, and writes four artifacts.
+    key is three of the record's own inputs (``data.csv``, ``data.schema``
+    and ``environment``), and writes four artifacts.
     Every example starts from a record that holds."""
 
     @staticmethod
@@ -1590,10 +1618,8 @@ class TestLineageRecord:
         assert run_cmd(csv_workspace, "stats") == 0
         if change == "threads":
             monkeypatch.setenv("SEVPRED_TEST_NUM_THREADS", "3")
-        elif change == "package":
-            monkeypatch.setattr(cli, "_package_digest", lambda: "0" * 64)
         else:
-            monkeypatch.setattr(np, "__version__", "0.0")
+            change_environment(monkeypatch, change)
         capsys.readouterr()
         for skipped in (False, True):
             assert run_cmd(csv_workspace, "stats") == 0

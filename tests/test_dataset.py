@@ -129,6 +129,15 @@ class TestIngest:
         with pytest.raises(MissingColumn):
             ingest_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize("require_target", [True, False])
+    def test_column_named_twice(self, tmp_path, require_target):
+        """Two header cells that name one schema column are a DataError
+        naming it, raised before a row is read (the second's target is out
+        of range)."""
+        path = write(tmp_path, "City,Temperature,City,Signal,Severity\nA,1.5,B,true,2\nA,1.5,B,true,9\n")
+        with pytest.raises(DataError, match="'City' more than once"):
+            ingest_csv(path, SCHEMA, require_target=require_target)
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(EmptyFile):
