@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Mapping
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from . import __version__
 from .association import AssociationMatrix, association_matrix, select_features
 from .artifacts import atomic_write, file_sha256, json_fits, load_json_artifact, load_keyed, save_keyed
 from .dataset import ColumnKind, SchemaSpec, Table, impute, ingest_csv, load_schema, load_table
-from .dataset import save_table, schema_to_dict, summarize
+from .dataset import save_table, summarize
 from .errors import DataError, NumericError, PipelineError
 from .evaluation import GridSpec, cross_validate, evaluate_predictions, grid_search
 from .models import (
@@ -150,7 +149,7 @@ def validate(settings: dict) -> None:
     n_bins = settings["association"]["n_bins"]
     if not 2 <= n_bins <= MAX_BINS:
         raise ConfigError(f"association.n_bins must be in 2..{MAX_BINS}, got {n_bins}")
-    base = _built("classifier", lambda: _classifier_config(settings, 0))
+    base = _built("classifier", lambda: ClassifierConfig(**settings["classifier"], seed=0))
     _built("grid", lambda: [replace(base, **cell) for cell in GridSpec(**settings["grid"]).cells()])
     # the widest encoder width stands in for the data's width, which
     # stage_train_ae checks against the latent width
@@ -167,8 +166,8 @@ def _built(section: str, build):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _data_paths(settings: dict) -> tuple[Path, Path]:
-    csv_path, schema_path = settings["data"]["csv"], settings["data"]["schema"]
+def _data_paths(work: WorkDir) -> tuple[Path, Path]:
+    csv_path, schema_path = work["data"]["csv"], work["data"]["schema"]
     if not csv_path or not schema_path:
         raise ConfigError("data.csv and data.schema must be set")
     csv_path, schema_path = Path(csv_path), Path(schema_path)
@@ -242,24 +241,39 @@ KEYED_CACHES = ("table.cache", "association.cache")
 
 
 class WorkDir:
-    """The directory through which stages pass artifacts, and what one stage
-    run read and wrote, for its lineage record. ``read`` is a DataError
-    naming the stage that makes a missing artifact, and hashes the artifact
-    it hands out, a keyed cache aside; ``write`` makes the directory, so a
-    stage that fails before its first write leaves none."""
+    """One stage run's trace: the settings, the directory through which
+    stages pass artifacts, and what the run read and wrote, for its lineage
+    record. ``work[section]`` is ``settings[section]``, recorded as the input
+    ``settings.<section>``: a body's control flow depends only on what it
+    read, so while those reads and its other inputs are unchanged it would
+    do the same again. ``read`` is a DataError naming the stage that makes a
+    missing artifact, and records the artifact it hands out, a keyed cache
+    aside; ``write`` makes the directory, so a stage that fails before its
+    first write leaves none."""
 
-    def __init__(self, root: str):
-        self.root = Path(root)
-        self.inputs: dict = {"environment": _environment()}  # input -> its sha256, the schema, a section
+    def __init__(self, settings: dict):
+        self.settings = settings
+        self.root = Path(settings["work_dir"])
+        self.inputs: dict = {"environment": _environment()}  # input -> its _input value
         self.outputs: list[str] = []
         self.keyed = True  # false once the CSV no longer hashes as it did before it was parsed
+
+    def note(self, name: str):
+        """Input ``name`` as ``_input`` gives it, recorded the first time
+        this run reads it, so a run hashes each input file once."""
+        if name not in self.inputs:
+            self.inputs[name] = _input(name, self)
+        return self.inputs[name]
+
+    def __getitem__(self, section: str):
+        return self.note(f"settings.{section}")
 
     def read(self, name: str) -> Path:
         path = self.root / name
         if not path.exists():
             raise DataError(f"missing artifact {name}; run `sevpred {MADE_BY[name]}` first")
         if name not in KEYED_CACHES:
-            self.inputs[name] = file_sha256(path)
+            self.note(name)
         return path
 
     def write(self, name: str) -> Path:
@@ -268,34 +282,14 @@ class WorkDir:
         return self.root / name
 
     def key(self, **settings) -> dict:
-        """A keyed cache's key: the lineage inputs ``data.csv`` and
-        ``data.schema`` (taken by ``_source``) and ``environment``, then ``settings``."""
-        return {name: self.inputs[name] for name in ("data.csv", "data.schema", "environment")} | settings
+        """A keyed cache's key: the lineage inputs ``data.csv``,
+        ``data.schema`` and ``environment``, then ``settings``."""
+        return {name: self.note(name) for name in ("data.csv", "data.schema", "environment")} | settings
 
 
 # -- lineage: a stage whose settings, inputs and outputs are unchanged is skipped
 
 RECORD = {"inputs": dict, "outputs": {str: str}, "payload": {"meta": dict}}
-
-
-class _Reads(Mapping):
-    """The settings as a stage body sees them: each section it reads is
-    stored in ``inputs`` as ``settings.<section>``. A body's control flow
-    depends only on what it read, so while those reads and its other inputs
-    are unchanged it would do the same again."""
-
-    def __init__(self, settings: dict, inputs: dict):
-        self._settings, self._inputs = settings, inputs
-
-    def __getitem__(self, section: str):
-        self._inputs[f"settings.{section}"] = self._settings[section]
-        return self._settings[section]
-
-    def __iter__(self):
-        return iter(self._settings)
-
-    def __len__(self) -> int:
-        return len(self._settings)
 
 
 @functools.cache
@@ -331,46 +325,43 @@ def _lineage(root: Path) -> dict:
     return manifest["stages"]
 
 
-def _input(name: str, settings: dict, work: WorkDir):
+def _input(name: str, work: WorkDir):
     """Input ``name`` of a lineage record as it is now: a settings section,
-    the ``_environment`` this run took, the parsed schema, or the sha256 of
-    the CSV, a ``predict.model`` override or a work-dir file."""
+    the ``_environment`` this run took, or the sha256 of the CSV, the
+    schema, a ``predict.model`` override or a work-dir file."""
     if name.startswith("settings."):
-        return settings[name.removeprefix("settings.")]
+        return work.settings[name.removeprefix("settings.")]
     if name == "environment":
         return work.inputs[name]
-    if name == "data.schema":
-        return schema_to_dict(load_schema(settings["data"]["schema"]))
-    if name in ("data.csv", "predict.model"):
+    if name in ("data.csv", "data.schema", "predict.model"):
         section, field = name.split(".")
-        return file_sha256(settings[section][field])
+        return file_sha256(work.settings[section][field])
     return file_sha256(work.root / name)
 
 
-def _holds(record: dict, settings: dict, work: WorkDir) -> bool:
+def _holds(record: dict, work: WorkDir) -> bool:
     """Whether a stage's lineage ``record`` still holds: each input, then
     each output, is as it was, in canonical JSON (so ``1`` and ``1.0``
     differ); settings and environment first, so a changed one costs no hashing."""
     inputs = sorted(record["inputs"].items(), key=lambda item: not item[0].startswith(("settings.", "environment")))
     try:
-        return all(json.dumps(_input(name, settings, work), sort_keys=True) == json.dumps(value, sort_keys=True)
+        return all(json.dumps(_input(name, work), sort_keys=True) == json.dumps(value, sort_keys=True)
                    for name, value in [*inputs, *record["outputs"].items()])
     except (LookupError, OSError, ValueError, TypeError, PipelineError):  # gone or unreadable: the stage runs
         return False
 
 
-def _suffix(settings: Mapping) -> str:
+def _suffix(settings: dict | WorkDir) -> str:
     """What the ``use_encoder`` variant adds to the names of its artifacts,
     seeds and lineage record."""
     return "_encoded" if settings["use_encoder"] else ""
 
 
 def _recorded(stage: str):
-    """The stage function ``body(settings, work)`` as ``fn(settings)``, run
-    under its lineage record in ``<work_dir>/lineage.json``: the run's
-    inputs (the settings sections ``body`` read through its ``_Reads`` view,
-    the ``_environment``, and what ``_source`` and ``WorkDir.read`` handed
-    out), the sha256 of every file it wrote, and the payload it printed.
+    """The stage function ``body(work)`` as ``fn(settings)``, run under its
+    lineage record in ``<work_dir>/lineage.json``: the run's inputs (the
+    ``_environment`` and what ``body`` read through ``work.note``), the
+    sha256 of every file it wrote, and the payload it printed.
     While the record holds, the stage does no work and writes nothing: it
     returns the stored payload with ``"skipped": true`` in its "meta". A
     record that does not hold, or none, is a normal run, never an error;
@@ -383,16 +374,16 @@ def _recorded(stage: str):
     def wrap(body):
         @functools.wraps(body)
         def run(settings: dict) -> dict:
-            work = WorkDir(settings["work_dir"])
-            # work_dir and use_encoder pick the record, so they are read outside the
-            # view; train and cv keep one set of outputs per variant, one record each
+            work = WorkDir(settings)
+            # work_dir and use_encoder pick the record, so they are read unrecorded;
+            # train and cv keep one set of outputs per variant, one record each
             name = stage + _suffix(settings) if stage in ("train", "cv") else stage
             stages = _lineage(work.root)
             record = stages.get(name)
-            if record is not None and _holds(record, settings, work):
+            if record is not None and _holds(record, work):
                 record["payload"]["meta"]["skipped"] = True
                 return record["payload"]
-            payload = body(_Reads(settings, work.inputs), work)
+            payload = body(work)
             if work.keyed:
                 outputs = {output: file_sha256(work.root / output) for output in work.outputs}
                 inputs = {i: value for i, value in work.inputs.items() if i not in outputs}
@@ -425,41 +416,46 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _source(settings: dict, work: WorkDir) -> tuple[Path, SchemaSpec, str]:
-    """``data.csv``, its schema and the sha256 of the CSV's bytes, which keys
-    what the work dir keeps of them; ``work`` records the hash and the
-    schema as inputs. A stage hashes the CSV here once."""
-    csv_path, schema_path = _data_paths(settings)
+def _source(work: WorkDir) -> tuple[Path, SchemaSpec]:
+    """``data.csv`` and its schema, whose sha256s ``work`` records as inputs
+    the first time a run asks, so a second call hashes nothing. The schema
+    is hashed before it is parsed, so one edited in between is recorded as
+    its older bytes, and the next run runs again."""
+    csv_path, schema_path = _data_paths(work)
+    work.note("data.schema")
     schema = load_schema(schema_path)
-    sha256 = file_sha256(csv_path)
-    work.inputs.update({"data.csv": sha256, "data.schema": schema_to_dict(schema)})
-    return csv_path, schema, sha256
+    work.note("data.csv")
+    return csv_path, schema
 
 
-def _load_table(settings: dict, work: WorkDir, source: tuple | None = None, *,
-                imputed: bool = True) -> Table:
+def _ingest(work: WorkDir, csv_path: Path, schema: SchemaSpec, require_target: bool = True) -> Table:
+    """``ingest_csv``'s table of ``csv_path``, then the CSV hashed again:
+    unless it still hashes as ``_source`` recorded, it was rewritten while
+    it was parsed, and ``work.keyed`` turns false, so the stage keeps
+    nothing it derives from the table and leaves no lineage record either."""
+    table = ingest_csv(csv_path, schema, require_target=require_target)
+    work.keyed &= file_sha256(csv_path) == work.inputs["data.csv"]
+    return table
+
+
+def _load_table(work: WorkDir, *, imputed: bool = True) -> Table:
     """The labeled table of ``data.csv`` under the schema, as ``stats``,
-    ``associate`` and ``preprocess`` get it from ``source`` (by default
-    ``_source(settings, work)``). ``work`` is the stage's work dir, which
-    records what was read.
+    ``associate`` and ``preprocess`` get it. ``work`` is the stage's trace,
+    which records what was read.
 
     ``ingest_csv``'s result is kept in ``<work_dir>/table.cache`` under
-    ``work.key()``, the lineage inputs that decide it: that sha256 of the
-    CSV's bytes, the schema and the environment, which holds the code of the
+    ``work.key()``, the lineage inputs that decide it: the sha256s of the
+    CSV and the schema, and the environment, which holds the code of the
     ingest rules. A stage whose key matches reads the table back instead of
     parsing the CSV; a cache that is absent, cut, corrupt or keyed otherwise
-    is a miss, never an error. After an ingest the CSV is hashed again: only
-    if it still hashes to the key is the cache written (the work dir is not
-    made before then); otherwise ``work.keyed`` turns false, so the stage
-    keeps nothing it derives from the table and leaves no lineage record
-    either.
+    is a miss, never an error. A miss is written only if ``_ingest`` leaves
+    ``work.keyed`` true (the work dir is not made before then).
     """
-    csv_path, schema, sha256 = source or _source(settings, work)
+    csv_path, schema = _source(work)
     try:
         table = load_table(work.read("table.cache"), schema, work.key())
     except (OSError, DataError):
-        table = ingest_csv(csv_path, schema)
-        work.keyed &= file_sha256(csv_path) == sha256  # not rewritten while it was parsed
+        table = _ingest(work, csv_path, schema)
         if work.keyed:
             save_table(work.write("table.cache"), table, work.key())
     return impute(table) if imputed else table
@@ -468,8 +464,8 @@ def _load_table(settings: dict, work: WorkDir, source: tuple | None = None, *,
 # -- stages ---------------------------------------------------------------------
 
 @_recorded("stats")
-def stage_stats(settings: dict, work: WorkDir) -> dict:
-    table = _load_table(settings, work, imputed=False)
+def stage_stats(work: WorkDir) -> dict:
+    table = _load_table(work, imputed=False)
     payload = summarize(table)
     payload["meta"] = _meta("stats")
     _write_json(work.write("stats.json"), payload)
@@ -477,28 +473,27 @@ def stage_stats(settings: dict, work: WorkDir) -> dict:
 
 
 @_recorded("associate")
-def stage_associate(settings: dict, work: WorkDir) -> dict:
+def stage_associate(work: WorkDir) -> dict:
     """Cramer's V over every schema column and the selection it implies.
 
     The matrix is kept in ``<work_dir>/association.cache`` under
-    ``work.key`` of ``n_bins`` and ``bias_corrected``: those, the CSV's
-    sha256, the schema and the environment, which holds the code of the
+    ``work.key`` of ``n_bins`` and ``bias_corrected``: those, the sha256s of
+    the CSV and the schema, and the environment, which holds the code of the
     ingest, imputation and matrix rules. The threshold is not in the key. A
     stage whose key matches writes both artifacts from the kept matrix
     without reading the table; a cache that is absent, cut, corrupt or keyed
     otherwise is a miss, never an error. A miss computes the matrix from
     ``_load_table``'s table and keeps it only if that table is the keyed CSV's.
     """
-    source = _source(settings, work)
-    _, schema, _ = source
-    assoc_cfg = settings["association"]
+    _, schema = _source(work)
+    assoc_cfg = work["association"]
     key = work.key(n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"])
     n = len(schema.names)
     try:
         _, (values,) = load_keyed(work.read("association.cache"), key, "matrix", {}, lambda _: [("<f8", n * n)])
         matrix = AssociationMatrix(tuple(schema.names), values.reshape(n, n))
     except (OSError, DataError):
-        table = _load_table(settings, work, source)
+        table = _load_table(work)
         matrix = association_matrix(
             table, n_bins=assoc_cfg["n_bins"], bias_corrected=assoc_cfg["bias_corrected"]
         )
@@ -521,8 +516,8 @@ def stage_associate(settings: dict, work: WorkDir) -> dict:
 
 
 @_recorded("preprocess")
-def stage_preprocess(settings: dict, work: WorkDir) -> dict:
-    table = _load_table(settings, work)
+def stage_preprocess(work: WorkDir) -> dict:
+    table = _load_table(work)
     selection = work.read("selection.json")
     selected = load_json_artifact(selection, "selection", {"selected": [str]})["selected"]
     if not selected:
@@ -532,7 +527,7 @@ def stage_preprocess(settings: dict, work: WorkDir) -> dict:
         raise DataError(f"{selection}: selected names column {repeated[0]!r} more than once")
 
     splits = stratified_split(
-        table.target, tuple(settings["split"]["ratios"]), seed=derive_seed(settings["seed"], "split")
+        table.target, tuple(work["split"]["ratios"]), seed=derive_seed(work["seed"], "split")
     )
     categorical = [
         n for n in selected
@@ -590,11 +585,11 @@ def _load_splits(work: WorkDir, n_rows: int) -> SplitIndices:
 
 
 @_recorded("train-ae")
-def stage_train_ae(settings: dict, work: WorkDir) -> dict:
+def stage_train_ae(work: WorkDir) -> dict:
     features, _, _ = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
-    ae_cfg = settings["autoencoder"]
-    cfg = AutoencoderConfig(**ae_cfg, input_dim=features.d, seed=derive_seed(settings["seed"], "train-ae"))
+    ae_cfg = work["autoencoder"]
+    cfg = AutoencoderConfig(**ae_cfg, input_dim=features.d, seed=derive_seed(work["seed"], "train-ae"))
     params, history = train_autoencoder(cfg, features.values[splits.train], features.values[splits.val])
     spec = build_autoencoder(cfg)
     meta = {"kind": "autoencoder", "config": dict(ae_cfg), "seed": cfg.seed, "latent_dim": cfg.latent_dim}
@@ -608,24 +603,24 @@ def stage_train_ae(settings: dict, work: WorkDir) -> dict:
     return payload
 
 
-def _classifier_config(settings: dict, seed: int) -> ClassifierConfig:
-    return ClassifierConfig(**settings["classifier"], seed=seed)
+def _classifier_config(work: WorkDir, seed: int) -> ClassifierConfig:
+    return ClassifierConfig(**work["classifier"], seed=seed)
 
 
-def _maybe_weights(settings: dict, labels: np.ndarray, k: int) -> ClassWeights | None:
-    if not settings["classifier"]["use_class_weights"]:
+def _maybe_weights(work: WorkDir, labels: np.ndarray, k: int) -> ClassWeights | None:
+    if not work["classifier"]["use_class_weights"]:
         return None
     return compute_class_weights(labels, k)
 
 
 @_recorded("train")
-def stage_train(settings: dict, work: WorkDir) -> dict:
-    encoded, suffix = settings["use_encoder"], _suffix(settings)
+def stage_train(work: WorkDir) -> dict:
+    encoded, suffix = work["use_encoder"], _suffix(work)
     features, labels, k = _load_features(work, encoded=encoded)
     splits = _load_splits(work, features.n)
 
-    cfg = _classifier_config(settings, derive_seed(settings["seed"], f"train{suffix}"))
-    weights = _maybe_weights(settings, labels[splits.train], k)
+    cfg = _classifier_config(work, derive_seed(work["seed"], f"train{suffix}"))
+    weights = _maybe_weights(work, labels[splits.train], k)
     params, history = train_classifier(
         cfg,
         features.values[splits.train], labels[splits.train],
@@ -636,7 +631,7 @@ def stage_train(settings: dict, work: WorkDir) -> dict:
     meta = {
         "kind": "classifier",
         "encoded_input": encoded,
-        "config": dict(settings["classifier"]),
+        "config": dict(work["classifier"]),
         "seed": cfg.seed,
         "class_weights": None if weights is None else weights.w.tolist(),
     }
@@ -645,7 +640,7 @@ def stage_train(settings: dict, work: WorkDir) -> dict:
     preds = predict(params, spec, features.values[splits.test])
     report = evaluate_predictions(preds, labels[splits.test], k)
     _write_json(work.write(f"history{suffix}.json"), {
-        "history": history, "config": dict(settings["classifier"]),
+        "history": history, "config": dict(work["classifier"]),
         "seed": cfg.seed, "meta": _meta("train"),
     })
     payload = {"test": report.to_dict(), "encoded_input": encoded, "meta": _meta("train")}
@@ -654,21 +649,21 @@ def stage_train(settings: dict, work: WorkDir) -> dict:
 
 
 @_recorded("grid")
-def stage_grid(settings: dict, work: WorkDir) -> dict:
+def stage_grid(work: WorkDir) -> dict:
     features, labels, k = _load_features(work, encoded=False)
     splits = _load_splits(work, features.n)
-    grid = GridSpec(**settings["grid"])
-    base = _classifier_config(settings, derive_seed(settings["seed"], "grid-base"))
-    weights = _maybe_weights(settings, labels[splits.train], k)
+    grid = GridSpec(**work["grid"])
+    base = _classifier_config(work, derive_seed(work["seed"], "grid-base"))
+    weights = _maybe_weights(work, labels[splits.train], k)
     results = grid_search(
         grid,
         features.values[splits.train], labels[splits.train],
         features.values[splits.val], labels[splits.val],
         base_config=base, class_weights=weights,
-        seed=derive_seed(settings["seed"], "grid"), n_classes=k,
+        seed=derive_seed(work["seed"], "grid"), n_classes=k,
     )
     payload = {
-        "grid": settings["grid"],
+        "grid": work["grid"],
         "n_cells": grid.size(),
         "ranked": [r.to_dict() for r in results],
         "meta": _meta("grid"),
@@ -684,12 +679,12 @@ def stage_grid(settings: dict, work: WorkDir) -> dict:
     return payload
 
 
-def _cv_runner(settings: dict, k: int):
+def _cv_runner(work: WorkDir, k: int):
     def runner(train_x, train_y, val_x, val_y, seed):
-        cfg = _classifier_config(settings, seed)
+        cfg = _classifier_config(work, seed)
         params, _ = train_classifier(
             cfg, train_x, train_y, val_x, val_y,
-            class_weights=_maybe_weights(settings, train_y, k), n_classes=k,
+            class_weights=_maybe_weights(work, train_y, k), n_classes=k,
         )
         spec = build_classifier(cfg, train_x.shape[1], k)
         return lambda x: predict(params, spec, x)
@@ -698,19 +693,19 @@ def _cv_runner(settings: dict, k: int):
 
 
 @_recorded("cv")
-def stage_cv(settings: dict, work: WorkDir) -> dict:
-    encoded, suffix = settings["use_encoder"], _suffix(settings)
+def stage_cv(work: WorkDir) -> dict:
+    encoded, suffix = work["use_encoder"], _suffix(work)
     features, labels, k = _load_features(work, encoded=encoded)
     result = cross_validate(
-        _cv_runner(settings, k),
+        _cv_runner(work, k),
         features.values, labels,
-        k=settings["cv"]["folds"],
-        seed=derive_seed(settings["seed"], f"cv{suffix}"),
+        k=work["cv"]["folds"],
+        seed=derive_seed(work["seed"], f"cv{suffix}"),
         n_classes=k,
     )
     payload = {
         "encoded_input": encoded,
-        "config": dict(settings["classifier"]),
+        "config": dict(work["classifier"]),
         **result.to_dict(),
         "meta": _meta("cv"),
     }
@@ -725,19 +720,17 @@ def stage_cv(settings: dict, work: WorkDir) -> dict:
 
 
 @_recorded("predict")
-def stage_predict(settings: dict, work: WorkDir) -> dict:
+def stage_predict(work: WorkDir) -> dict:
     # read directly: a table without its target would evict the labeled one
-    csv_path, schema, sha256 = _source(settings, work)
-    table = impute(ingest_csv(csv_path, schema, require_target=False))
-    work.keyed &= file_sha256(csv_path) == sha256
+    table = impute(_ingest(work, *_source(work), require_target=False))
     codec, standardizer, column_order = load_preprocessor(work.read("preprocessor.json"))
     features = assemble(table, codec, standardizer, column_order)
-    if settings["use_encoder"]:
+    if work["use_encoder"]:
         ae_spec, ae_params, _ = load_model(work.read("autoencoder.model"))
         features = encode(ae_spec, ae_params, features)
-    model_path = Path(settings["predict"]["model"] or work.read(f"classifier{_suffix(settings)}.model"))
-    if settings["predict"]["model"]:
-        work.inputs["predict.model"] = file_sha256(model_path)
+    if work["predict"]["model"]:
+        work.note("predict.model")
+    model_path = Path(work["predict"]["model"] or work.read(f"classifier{_suffix(work)}.model"))
     spec, params, _ = load_model(model_path)
     last, k = spec.layers[-1], table.schema.target_cardinality
     if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
@@ -748,7 +741,7 @@ def stage_predict(settings: dict, work: WorkDir) -> dict:
     return {
         "n_rows": table.n_rows,
         "n_dropped_missing_target": table.n_dropped,
-        "output": str(Path(settings["work_dir"], "predictions.csv")),  # a setting read, so the record holds it
+        "output": str(Path(work["work_dir"], "predictions.csv")),  # a setting read, so the record holds it
         "meta": _meta("predict"),
     }
 
@@ -771,7 +764,7 @@ COMPARED = ("mean_ber", "std_ber", "mean_accuracy", "std_accuracy")
 
 
 @_recorded("pipeline")
-def _compare(settings: dict, work: WorkDir) -> dict:
+def _compare(work: WorkDir) -> dict:
     """``pipeline``'s report: the two variants' CV figures side by side."""
     def row(name: str, suffix: str) -> dict:
         path = work.read(f"cv_report{suffix}.json")
@@ -780,7 +773,7 @@ def _compare(settings: dict, work: WorkDir) -> dict:
 
     payload = {
         "comparison": [row("encoder+dnn", "_encoded"), row("dnn", "")],
-        "class_weights_enabled": settings["classifier"]["use_class_weights"],
+        "class_weights_enabled": work["classifier"]["use_class_weights"],
         "meta": _meta("pipeline"),
     }
     _write_json(work.write("pipeline_report.json"), payload)

@@ -224,3 +224,38 @@ def test_file_layer_stays_apart_from_the_dataset():
     imports = {path.stem: package_imports(path) for path in Path(sevpred.__file__).parent.glob("*.py")}
     assert imports["artifacts"] == {"errors"}
     assert "dataset" not in imports["neural"]
+
+
+def _is_inputs(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "inputs"
+
+
+def _changes_inputs(node) -> bool:
+    """Whether ``node`` assigns to, deletes from or updates an ``.inputs``."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear"):
+        targets = [node.func.value]
+    else:
+        return False
+    return any(_is_inputs(t.value if isinstance(t, ast.Subscript) else t) for t in targets)
+
+
+def test_one_object_traces_a_stage_run():
+    """In cli.py only ``WorkDir`` and ``_input`` read a ``.settings``, and
+    only ``WorkDir`` changes a ``.inputs``: so a stage reads its settings
+    through the trace, and every lineage input but the environment is the
+    value ``_input`` gives, which ``_holds`` compares."""
+    tree = ast.parse((Path(sevpred.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    reads, changes = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "settings":
+                reads.add(getattr(top, "name", None))
+            if _changes_inputs(node):
+                changes.add(getattr(top, "name", None))
+    assert reads == {"WorkDir", "_input"}
+    assert changes == {"WorkDir"}

@@ -395,6 +395,29 @@ class TestPreprocessTrainChain:
     def test_preprocess_requires_selection(self, csv_workspace):
         assert run_cmd(csv_workspace, "preprocess") == 2
 
+    def test_empty_selection_exit_2(self, csv_workspace, capsys):
+        """No column reaches a threshold of 1.0, so there is nothing to preprocess."""
+        assert run_cmd(csv_workspace, "associate", "--set", "association.threshold=1.0") == 0
+        assert read_json(csv_workspace, "selection.json")["selected"] == []
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "preprocess") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert "lower association.threshold" in err["error"]["message"]
+
+    def test_label_cut_from_targets_exit_2(self, csv_workspace, capsys):
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0
+        path = csv_workspace / "out" / "targets.json"
+        payload = json.loads(path.read_text())
+        payload["labels"] = payload["labels"][:-1]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "train") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "DataError"
+        assert err["error"]["message"] == "targets.json row count does not match the feature matrix"
+
     @pytest.mark.parametrize("command, args, code", [
         ("train", [], 2), ("grid", [], 2), ("cv", [], 2), ("train-ae", [], 2),
         ("predict", ["--set", "data.csv=missing.csv"], 1),
@@ -723,11 +746,11 @@ class TestTableCache:
         assert run_cmd(csv_workspace, "predict", "--set", f"data.csv={copy_path}") == 0
         assert cache.read_bytes() == before
 
-    @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind", "package", "numpy"])
+    @pytest.mark.parametrize("edit", ["csv-cell", "schema-kind", "schema-whitespace", "package", "numpy"])
     def test_changed_input_reingests(self, csv_workspace, capsys, ingests, monkeypatch, edit):
         """A one-cell edit of the CSV that keeps its length, a schema edit,
-        or other package code or numpy version re-ingests: stats prints what
-        it prints in a fresh work dir."""
+        of its bytes alone too, or other package code or numpy version
+        re-ingests: stats prints what it prints in a fresh work dir."""
         assert run_cmd(csv_workspace, "stats") == 0
         if edit in ("package", "numpy"):
             change_environment(monkeypatch, edit)
@@ -737,6 +760,9 @@ class TestTableCache:
             at = text.index("\n") + 1
             at = next(i for i in range(at, len(text)) if text[i].isdigit())
             path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:], encoding="utf-8")
+        elif edit == "schema-whitespace":
+            path = csv_workspace / "schema.json"
+            path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
         else:
             path = csv_workspace / "schema.json"
             path.write_text(path.read_text(encoding="utf-8").replace('"categorical"', '"boolean"', 1),
@@ -749,6 +775,26 @@ class TestTableCache:
         assert warm == strip_meta(json.loads(capsys.readouterr().out))
         if edit == "schema-kind":
             assert warm["columns"]["cat_0"]["kind"] == "boolean"
+
+    def test_associate_hashes_the_csv_once_per_read(self, csv_workspace, monkeypatch, ingests):
+        """``associate`` hashes data.csv once on a table.cache hit; when it
+        ingests, once more after the parse, to see the CSV unchanged."""
+        csv_path, hashes = csv_workspace / "data.csv", []
+        sha256 = cli.file_sha256
+
+        def counted(path):
+            if Path(path) == csv_path:
+                hashes.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "file_sha256", counted)
+        assert run_cmd(csv_workspace, "stats") == 0
+        assert (len(ingests), len(hashes)) == (1, 2)
+        # no record of associate's: it runs, and reads the table stats kept
+        assert run_cmd(csv_workspace, "associate") == 0
+        assert (len(ingests), len(hashes)) == (1, 3)
+        assert run_cmd(csv_workspace, "associate", "--work-dir", str(csv_workspace / "fresh")) == 0
+        assert (len(ingests), len(hashes)) == (2, 5)
 
     def test_predict_reingests_without_the_target(self, csv_workspace, ingests):
         """The labeled table drops a blank-target line; predict, which reads
@@ -975,6 +1021,12 @@ class TestConfigPlumbing:
         pytest.param(["--set", "autoencoder=5", "--set", 'autoencoder={"epochs": 1}'], id="autoencoder-scalar-then-object"),
         pytest.param(["--set", "grid=5", "--set", 'grid={"initial_neurons": [8]}'], id="grid-scalar-then-object"),
         pytest.param(["--work-dir", ""], id="empty-work-dir"),
+        ["--set", "split.ratios=[0.5,0.5]"],
+        ["--set", "split.ratios=[0.5,0.5,0.5]"],
+        ["--set", "split.ratios=[1.0,0.0,0.0]"],
+        ["--set", "cv.folds=1"],
+        pytest.param(["--set", "cv.folds"], id="set-without-value"),
+        ["--set", "data.csv=null"],
     ], ids=lambda args: args[-1])
     def test_bad_config_value_exits_1_before_input(self, csv_workspace, capsys, monkeypatch, args):
         (csv_workspace / "data.csv").write_bytes(b"\xff\n")
@@ -1639,6 +1691,20 @@ class TestLineageRecord:
         capsys.readouterr()
         assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={model}") == 0
         assert "skipped" not in json.loads(capsys.readouterr().out)["meta"]
+
+    def test_recorded_inputs_are_inputs_now(self, csv_workspace):
+        """After ``pipeline`` each input of each record equals what
+        ``_input``, the one definition of an input's value, gives now."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cmd(csv_workspace, "pipeline") == 0
+        settings = cli.build_config(cli._build_parser().parse_args(
+            ["pipeline", "--config", str(csv_workspace / "config.json")]))
+        records = cli._lineage(csv_workspace / "out")
+        assert sorted(records) == ["associate", "cv", "cv_encoded", "pipeline", "preprocess", "train",
+                                   "train-ae", "train_encoded"]
+        for name, record in records.items():
+            work = cli.WorkDir({**settings, "use_encoder": name.endswith("_encoded")})
+            assert {i: cli._input(i, work) for i in record["inputs"]} == record["inputs"], name
 
     @pytest.mark.parametrize("stage", ["stats", "associate"])
     def test_csv_rewritten_mid_read_leaves_no_record(self, csv_workspace, monkeypatch, stage):

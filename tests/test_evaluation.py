@@ -45,6 +45,10 @@ class TestConfusion:
         with pytest.raises(LabelOutOfRange):
             confusion([1], [0], 4)
 
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="2 predictions vs 1 labels"):
+            confusion([1, 2], [1], 2)
+
 
 class TestBer:
     def test_perfect_predictor(self):

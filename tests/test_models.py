@@ -289,6 +289,17 @@ class TestTrainClassifier:
         cfg = ClassifierConfig(initial_neurons=8, epochs=1, batch_size=64, seed=0)
         with pytest.raises(WidthMismatch):
             train_classifier(cfg, x[:400], y[:400], x[400:, :3], y[400:], n_classes=2)
+        y4 = 1 + np.arange(len(y)) % 4
+        with pytest.raises(WidthMismatch, match="3 class weights for 4 classes"):
+            train_classifier(cfg, x[:400], y4[:400], x[400:], y4[400:], ClassWeights(np.ones(3)), n_classes=4)
+
+    def test_non_finite_validation_names_its_epoch(self):
+        """One batch per epoch: the first step is finite, and the update it
+        makes at a learning rate of 1e308 overflows the validation pass."""
+        x, y = separable_data(seed=12)
+        cfg = ClassifierConfig(initial_neurons=8, epochs=2, batch_size=400, learning_rate=1e308, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteActivation, match="in epoch 0, validation$"):
+            train_classifier(cfg, x[:400], y[:400], x[400:], y[400:], n_classes=2)
 
 
 class TestPredict:

@@ -427,6 +427,8 @@ class TestStratifiedSplit:
     def test_bad_ratios(self):
         with pytest.raises(DataError):
             stratified_split(np.array([1, 2]), ratios=(0.5, 0.4, 0.2), seed=0)
+        with pytest.raises(DataError, match="exactly three ratios"):
+            stratified_split(np.array([1, 2]), ratios=(0.5, 0.5), seed=0)
 
     @given(st.integers(0, 2**32 - 1), st.integers(20, 300))
     @settings(max_examples=30, deadline=None)
