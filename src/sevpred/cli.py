@@ -249,7 +249,8 @@ class WorkDir:
     do the same again. ``read`` is a DataError naming the stage that makes a
     missing artifact, and records the artifact it hands out, a keyed cache
     aside; ``write`` makes the directory, so a stage that fails before its
-    first write leaves none."""
+    first write leaves none. ``schema`` is the parsed ``data.schema``, kept
+    beside its recorded sha256 once ``_source`` has read it."""
 
     def __init__(self, settings: dict):
         self.settings = settings
@@ -257,6 +258,7 @@ class WorkDir:
         self.inputs: dict = {"environment": _environment()}  # input -> its _input value
         self.outputs: list[str] = []
         self.keyed = True  # false once the CSV no longer hashes as it did before it was parsed
+        self.schema: SchemaSpec | None = None
 
     def note(self, name: str):
         """Input ``name`` as ``_input`` gives it, recorded the first time
@@ -418,14 +420,16 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _source(work: WorkDir) -> tuple[Path, SchemaSpec]:
     """``data.csv`` and its schema, whose sha256s ``work`` records as inputs
-    the first time a run asks, so a second call hashes nothing. The schema
-    is hashed before it is parsed, so one edited in between is recorded as
-    its older bytes, and the next run runs again."""
+    the first time a run asks; the schema is parsed then too and kept on
+    ``work``, so a second call hashes and parses nothing. The schema is
+    hashed before it is parsed, so one edited in between is recorded as its
+    older bytes, and the next run runs again."""
     csv_path, schema_path = _data_paths(work)
-    work.note("data.schema")
-    schema = load_schema(schema_path)
+    if work.schema is None:
+        work.note("data.schema")
+        work.schema = load_schema(schema_path)
     work.note("data.csv")
-    return csv_path, schema
+    return csv_path, work.schema
 
 
 def _ingest(work: WorkDir, csv_path: Path, schema: SchemaSpec, require_target: bool = True) -> Table:
@@ -732,8 +736,8 @@ def stage_predict(work: WorkDir) -> dict:
         work.note("predict.model")
     model_path = Path(work["predict"]["model"] or work.read(f"classifier{_suffix(work)}.model"))
     spec, params, _ = load_model(model_path)
-    last, k = spec.layers[-1], table.schema.target_cardinality
-    if getattr(last, "activation", None) != "softmax" or last.fan_out != k:
+    k = table.schema.target_cardinality
+    if not spec.classifies or spec.output_dim != k:
         raise DataError(f"{model_path}: not a {k}-class classifier (a {k}-way softmax last layer)")
     preds = predict(params, spec, features)
     rows = [[i, int(label)] for i, label in enumerate(preds)]

@@ -40,10 +40,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LabelOutOfRange, MissingClass, NonFiniteActivation, WidthMismatch
+from .errors import DataError, EmptyInput, LabelOutOfRange, MissingClass, NonFiniteActivation, WidthMismatch
 from .evaluation import confusion, accuracy, ber
 from .neural import (
     Dense,
@@ -131,35 +131,36 @@ def _feature_values(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size,
-                seed, learning_rate, on_epoch):
+def _run_epochs(spec, params, x, targets, weights, cfg, on_epoch):
     """Seeded-shuffle mini-batch training loop shared by both models; it
-    updates ``params`` in place.
+    updates ``params`` in place, on the loss ``spec``'s last layer decides,
+    with ``cfg``'s epochs, batch size, seed and learning rate.
 
-    ``targets`` is the label vector for classifiers or None for autoencoders
-    (whose target is the batch itself). ``on_epoch(epoch, train_loss)`` runs
-    after each epoch. A ``NonFiniteActivation`` names its epoch and its batch
-    or the epoch's validation pass; a non-finite batch loss raises it before
-    that batch's step.
+    ``targets`` is the label vector for classifiers, with class ``weights``,
+    or None for autoencoders (whose target is the batch itself).
+    ``on_epoch(epoch, train_loss)`` runs after each epoch. A
+    ``NonFiniteActivation`` names its epoch and its batch or the epoch's
+    validation pass; a non-finite batch loss raises it before that batch's
+    step.
     """
     n = x.shape[0]
-    state = init_optimizer(params, learning_rate)
-    shuffle_rng = make_rng(derive_seed(seed, "shuffle"))
-    for epoch in range(epochs):
+    state = init_optimizer(params, cfg.learning_rate)
+    shuffle_rng = make_rng(derive_seed(cfg.seed, "shuffle"))
+    for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         batch_losses = []
-        for b, start in enumerate(range(0, n, batch_size)):
-            idx = perm[start:start + batch_size]
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = perm[start:start + cfg.batch_size]
             xb = x[idx]
             tb = xb if targets is None else targets[idx]
             try:
                 out, cache = forward(
                     spec, params, xb, mode="train",
-                    dropout_seed=derive_seed(seed, f"dropout:{epoch}:{b}"),
+                    dropout_seed=derive_seed(cfg.seed, f"dropout:{epoch}:{b}"),
                 )
             except NonFiniteActivation as exc:
                 raise NonFiniteActivation(f"{exc} in epoch {epoch}, batch {b}") from None
-            if loss_kind == "weighted_ce":
+            if spec.classifies:
                 data_loss = loss_weighted_ce(out, tb, weights)
             else:
                 data_loss = loss_mse(out, tb)
@@ -168,7 +169,7 @@ def _run_epochs(spec, params, x, targets, loss_kind, weights, epochs, batch_size
                 raise NonFiniteActivation(f"non-finite loss in epoch {epoch}, batch {b}")
             batch_losses.append(loss)
             # no name holds the gradient, so it is freed before the next batch
-            adam_step(params, backward(spec, params, cache, loss_kind, tb, weights), state)
+            adam_step(params, backward(spec, params, cache, tb, weights), state)
         try:
             on_epoch(epoch, float(np.mean(batch_losses)))
         except NonFiniteActivation as exc:
@@ -179,12 +180,15 @@ def train_autoencoder(
     cfg: AutoencoderConfig, train: FeatureMatrix, val: FeatureMatrix
 ) -> tuple[Parameters, dict]:
     """Train the mirrored autoencoder; returns final parameters and the
-    per-epoch train/val reconstruction-loss history."""
+    per-epoch train/val reconstruction-loss history. ``EmptyInput`` if
+    either set has no rows, since neither loss has a mean then."""
     train_x = _feature_values(train)
     val_x = _feature_values(val)
     for name, x in (("train", train_x), ("val", val_x)):
         if x.shape[1] != cfg.input_dim:
             raise WidthMismatch(f"{name} width {x.shape[1]} != input_dim {cfg.input_dim}")
+        if x.shape[0] == 0:
+            raise EmptyInput(f"the {name} set has no rows to train an autoencoder on")
     spec = build_autoencoder(cfg)
     params = init_params(spec, derive_seed(cfg.seed, "init"))
     history = {"train_mse": [], "val_mse": []}
@@ -194,10 +198,7 @@ def train_autoencoder(
         history["train_mse"].append(train_loss)
         history["val_mse"].append(loss_mse(recon, val_x))
 
-    _run_epochs(
-        spec, params, train_x, None, "mse", None,
-        cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate, on_epoch,
-    )
+    _run_epochs(spec, params, train_x, None, None, cfg, on_epoch)
     return params, history
 
 
@@ -325,10 +326,7 @@ def train_classifier(
             best.update(ber=val_ber, epoch=epoch)
             checkpoint[:] = params.flat
 
-    _run_epochs(
-        spec, params, train_x, train_y, "weighted_ce", weights,
-        cfg.epochs, cfg.batch_size, cfg.seed, cfg.learning_rate, on_epoch,
-    )
+    _run_epochs(spec, params, train_x, train_y, weights, cfg, on_epoch)
     history["best_epoch"] = best["epoch"]
     return Parameters(checkpoint, params.layout), history
 

@@ -3,15 +3,17 @@
 Forward/backward passes with relu/linear/softmax activations, inverted
 dropout, L2 weight decay, class-weighted cross-entropy and mean-squared-error
 losses, an adaptive-moment optimizer, and a finite-difference gradient
-checker. No GPU, no mixed precision: desk-scale sizes keep 64-bit cheap and
-make gradient checks meaningful. Weights and biases live in one flat buffer,
-``Parameters.flat``, with per-layer views; the spec alone decides its layout
-(``NetworkSpec.layout``), which gradients, the optimizer's moments and a
-model file's blob share. The optimizer updates that buffer and its moments
-in place, so a trainer that keeps a checkpoint copies it.
-``backward`` consumes its forward cache: it writes each carried gradient into
-the activation buffer that it is the gradient of, so a training step's
-working set is the forward pass's activations.
+checker. The last layer decides the loss (``NetworkSpec.classifies``): a
+softmax output trains on class-weighted cross-entropy, any other on mean
+squared error. No GPU, no mixed precision: desk-scale sizes keep 64-bit
+cheap and make gradient checks meaningful. Weights and biases live in one
+flat buffer, ``Parameters.flat``, with per-layer views; the spec alone
+decides its layout (``NetworkSpec.layout``), which gradients, the
+optimizer's moments and a model file's blob share. The optimizer updates
+that buffer and its moments in place, so a trainer that keeps a checkpoint
+copies it. ``backward`` consumes its forward cache: it writes each carried
+gradient into the activation buffer that it is the gradient of, so a
+training step's working set is the forward pass's activations.
 
 Class labels are 1-based (severity 1..K) everywhere in the public API.
 """
@@ -93,6 +95,12 @@ class NetworkSpec:
     @property
     def output_dim(self) -> int:
         return self.dense_layers()[-1].fan_out
+
+    @property
+    def classifies(self) -> bool:
+        """A softmax last layer: the loss is class-weighted cross-entropy;
+        otherwise it is mean squared error."""
+        return self.layers[-1].activation == "softmax"
 
     @property
     def layout(self) -> tuple:
@@ -257,14 +265,16 @@ def backward(
     spec: NetworkSpec,
     params: Parameters,
     cache: ForwardCache,
-    loss_kind: str,
     labels_or_target,
     class_weights: np.ndarray | None = None,
 ) -> Parameters:
     """Exact gradients of (data loss + L2 term) for every weight and bias.
 
-    The softmax + weighted-cross-entropy gradient is fused at the output:
-    (probs - onehot(y)) scaled per row by w[y]/n. The call consumes ``cache``:
+    The data loss is the spec's: class-weighted cross-entropy on 1-based
+    labels for a softmax last layer, else mean squared error against a target
+    of the output's shape. The softmax + weighted-cross-entropy gradient is
+    fused at the output: (probs - onehot(y)) scaled per row by w[y]/n, with
+    every w 1 when ``class_weights`` is None. The call consumes ``cache``:
     it pops each record as it passes that layer, writes the loss gradient over
     ``cache.output`` and each carried gradient into the activation buffer it
     is the gradient of (a relu mask is read before its buffer is written), so
@@ -284,9 +294,7 @@ def backward(
     # taken before the loss gradient overwrites the output it is read from
     mask = carry > 0 if final.activation == "relu" else None
 
-    if loss_kind == "weighted_ce":
-        if final.activation != "softmax":
-            raise CacheMismatch("weighted_ce requires a softmax output layer")
+    if spec.classifies:
         labels = np.asarray(labels_or_target)
         k = final.fan_out
         if ((labels < 1) | (labels > k)).any():
@@ -294,17 +302,13 @@ def backward(
         w = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
         carry[np.arange(n), labels - 1] -= 1.0
         carry *= (w[labels - 1] / n)[:, None]
-    elif loss_kind == "mse":
-        if final.activation == "softmax":
-            raise CacheMismatch("mse over a softmax output is not supported")
+    else:
         target = np.asarray(labels_or_target, dtype=np.float64)
         if target.shape != carry.shape:
             raise ShapeMismatch("mse target shape differs from network output")
         np.subtract(carry, target, out=carry)
         carry *= 2.0
         carry /= carry.size
-    else:
-        raise DataError(f"unknown loss kind {loss_kind!r}")
 
     grads = Parameters(np.zeros(params.flat.size), params.layout)
     dense_idx = len(dense) - 1
@@ -385,22 +389,19 @@ def total_loss(
     spec: NetworkSpec,
     params: Parameters,
     batch: np.ndarray,
-    loss_kind: str,
     labels_or_target,
     class_weights: np.ndarray | None = None,
-    mode: str = "train",
     dropout_seed: int = 0,
 ) -> float:
-    """Data loss plus L2 term, the quantity backward differentiates."""
-    out, _ = forward(spec, params, batch, mode=mode, dropout_seed=dropout_seed)
-    if loss_kind == "weighted_ce":
-        k = spec.output_dim
-        w = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
+    """Data loss plus L2 term of a train-mode pass, the quantity backward
+    differentiates: class-weighted cross-entropy (all weights 1 when None)
+    for a softmax last layer, else mean squared error."""
+    out, _ = forward(spec, params, batch, mode="train", dropout_seed=dropout_seed)
+    if spec.classifies:
+        w = np.ones(spec.output_dim) if class_weights is None else class_weights
         data = loss_weighted_ce(out, labels_or_target, w)
-    elif loss_kind == "mse":
-        data = loss_mse(out, labels_or_target)
     else:
-        raise DataError(f"unknown loss kind {loss_kind!r}")
+        data = loss_mse(out, labels_or_target)
     return data + l2_term(spec, params)
 
 
@@ -408,7 +409,6 @@ def gradient_check(
     spec: NetworkSpec,
     params: Parameters,
     batch: np.ndarray,
-    loss_kind: str,
     labels_or_target,
     class_weights: np.ndarray | None = None,
     n_coords: int = 200,
@@ -417,25 +417,22 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients
     over a random sample of parameter coordinates (at least ``n_coords`` when
-    the network has that many).
+    the network has that many), of the loss the spec's last layer decides
+    (see ``total_loss``).
 
     Dropout masks are replayed from a fixed seed for every evaluation, so the
     check is valid even with active dropout layers; the relative error is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    dropout_seed = seed
-    _, cache = forward(spec, params, batch, mode="train", dropout_seed=dropout_seed)
-    analytic = backward(spec, params, cache, loss_kind, labels_or_target, class_weights)
+    _, cache = forward(spec, params, batch, mode="train", dropout_seed=seed)
+    analytic = backward(spec, params, cache, labels_or_target, class_weights)
 
     flat = params.flat
     rng = make_rng(seed)
     chosen = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
 
     def loss_at() -> float:
-        return total_loss(
-            spec, params, batch, loss_kind, labels_or_target, class_weights,
-            mode="train", dropout_seed=dropout_seed,
-        )
+        return total_loss(spec, params, batch, labels_or_target, class_weights, dropout_seed=seed)
 
     worst = 0.0
     for i in chosen:
@@ -460,23 +457,22 @@ def gradient_check(
 MODEL_FORMAT = "sevpred-model-1"
 
 
-def spec_to_dict(spec: NetworkSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if isinstance(layer, Dense):
-            layers.append({
-                "type": "dense", "fan_in": layer.fan_in,
-                "fan_out": layer.fan_out, "activation": layer.activation,
-            })
-        else:
-            layers.append({"type": "dropout", "rate": layer.rate})
-    return {"layers": layers, "l2_penalty": spec.l2_penalty}
-
-
+# a layer type's name in a model file -> its class and its fields' shapes
 _LAYER_FIELDS = {
     "dense": (Dense, {"fan_in": int, "fan_out": int, "activation": str}),
     "dropout": (Dropout, {"rate": float}),
 }
+
+
+def spec_to_dict(spec: NetworkSpec) -> dict:
+    """``spec`` as a model file holds it: each layer its type's name, then
+    the fields ``_LAYER_FIELDS`` lists for that type, in that order."""
+    layers = [
+        {"type": name, **{attr: getattr(layer, attr) for attr in fields}}
+        for layer in spec.layers
+        for name, (layer_type, fields) in _LAYER_FIELDS.items() if isinstance(layer, layer_type)
+    ]
+    return {"layers": layers, "l2_penalty": spec.l2_penalty}
 
 
 def spec_from_dict(obj) -> NetworkSpec:

@@ -153,7 +153,7 @@ def test_c3_gradient_correctness():
             target = rng.standard_normal((12, spec.output_dim))
             weights = None
         err = gradient_check(
-            spec, params, x, loss_kind, target, weights,
+            spec, params, x, target, weights,
             n_coords=200, seed=int(rng.integers(0, 2**31)),
         )
         assert err < 1e-5, f"config {case} ({loss_kind}): max rel err {err:.2e}"

@@ -429,6 +429,24 @@ class TestPreprocessTrainChain:
         assert run_cmd(csv_workspace, command, "--work-dir", str(work), *args) == code
         assert not (csv_workspace / "new").exists()
 
+    def test_train_ae_without_validation_rows_exit_2(self, csv_workspace, capsys):
+        """One row per class leaves the validation and test sets empty, so
+        train-ae has no reconstruction loss to report and saves no model."""
+        path = csv_workspace / "data.csv"
+        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+        per_class = [next(row for row in rows[1:] if row[-1] == label) for label in "1234"]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], *per_class])
+        for cmd in ("associate", "preprocess"):
+            assert run_cmd(csv_workspace, cmd) == 0, cmd
+        assert read_json(csv_workspace, "splits.json")["val"] == []
+        capsys.readouterr()
+        assert run_cmd(csv_workspace, "train-ae") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == {"type": "EmptyInput", "stage": "train-ae",
+                                "message": "the val set has no rows to train an autoencoder on"}
+        assert not (csv_workspace / "out" / "autoencoder.model").exists()
+
     def test_missing_data_path_is_config_error(self, csv_workspace, capsys):
         code = main([
             "stats", "--config", str(csv_workspace / "config.json"),
@@ -854,6 +872,12 @@ class TestAssociationCache:
         monkeypatch.setattr(cli, "impute", refuse)
         assert associate_outputs(csv_workspace, capsys) == first
         assert (len(matrices), len(ingests)) == (1, 1)
+
+    def test_cold_associate_parses_the_schema_once(self, csv_workspace, counted):
+        """A miss reads the table through the schema the stage already parsed."""
+        counts = counted("load_schema")
+        assert run_cmd(csv_workspace, "associate") == 0
+        assert counts["load_schema"] == 1
 
     def test_threshold_change_matches_fresh_dir(self, csv_workspace, capsys, matrices):
         associate_outputs(csv_workspace, capsys)

@@ -19,6 +19,7 @@ from sevpred import (
 )
 from sevpred.errors import (
     DataError,
+    EmptyInput,
     LabelOutOfRange,
     MissingClass,
     NonFiniteActivation,
@@ -150,6 +151,14 @@ class TestAutoencoder:
         cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=1, batch_size=8)
         with pytest.raises(WidthMismatch):
             train_autoencoder(cfg, feature_matrix(np.zeros((4, 7))), feature_matrix(np.zeros((4, 8))))
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_set_refused(self, empty):
+        """Neither the training nor the validation loss has a mean over no rows."""
+        cfg = AutoencoderConfig(input_dim=8, encoder_widths=(4,), epochs=1, batch_size=8)
+        sets = {"train": np.ones((4, 8)), "val": np.ones((4, 8)), empty: np.zeros((0, 8))}
+        with pytest.raises(EmptyInput, match=f"the {empty} set has no rows"):
+            train_autoencoder(cfg, feature_matrix(sets["train"]), feature_matrix(sets["val"]))
 
 
 class TestEncode:

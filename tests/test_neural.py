@@ -196,6 +196,25 @@ class TestLosses:
         with pytest.raises(ShapeMismatch):
             loss_mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("head", ["softmax", "linear"])
+    def test_total_loss_follows_the_last_layer(self, head):
+        """A softmax head's total loss is weighted cross-entropy plus the L2
+        term, any other head's is mean squared error plus it, to the bit; the
+        gradient check cannot tell, since both its sides read the same rule."""
+        spec = NetworkSpec((Dense(5, 7, "relu"), Dropout(0.3), Dense(7, 3, head)), l2_penalty=0.01)
+        params = init_params(spec, seed=2)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(9, 5))
+        out, _ = forward(spec, params, x, mode="train", dropout_seed=4)
+        if head == "softmax":
+            y, w = rng.integers(1, 4, size=9), np.array([0.5, 2.0, 1.5])
+            expected = loss_weighted_ce(out, y, w) + l2_term(spec, params)
+            assert total_loss(spec, params, x, y, w, dropout_seed=4) == expected
+        else:
+            t = rng.normal(size=(9, 3))
+            expected = loss_mse(out, t) + l2_term(spec, params)
+            assert total_loss(spec, params, x, t, dropout_seed=4) == expected
+
 
 class TestBackward:
     def test_zero_weight_network_finite_gradients(self):
@@ -205,7 +224,7 @@ class TestBackward:
             w[:] = 0.0
         x = np.ones((6, 4))
         _, cache = forward(spec, params, x, mode="train")
-        grads = backward(spec, params, cache, "weighted_ce", np.array([1, 2, 3, 1, 2, 3]))
+        grads = backward(spec, params, cache, np.array([1, 2, 3, 1, 2, 3]))
         for g in grads.weights + grads.biases:
             assert np.isfinite(g).all()
 
@@ -215,7 +234,7 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(8, 3))
         _, cache = forward(spec, params, x, mode="train")
         grads = backward(
-            spec, params, cache, "weighted_ce", np.ones(8, dtype=int),
+            spec, params, cache, np.ones(8, dtype=int),
             class_weights=np.zeros(2),
         )
         for g, w in zip(grads.weights, params.weights):
@@ -228,7 +247,7 @@ class TestBackward:
         params = init_params(spec, seed=0)
         _, cache = forward(spec, params, np.ones((1, 2)), mode="infer")
         with pytest.raises(CacheMismatch):
-            backward(spec, params, cache, "weighted_ce", np.array([1]))
+            backward(spec, params, cache, np.array([1]))
 
     def test_no_gradient_with_respect_to_the_batch(self):
         class NoTranspose(np.ndarray):
@@ -241,10 +260,10 @@ class TestBackward:
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(8, 4)), rng.integers(1, 4, size=8)
         _, cache = forward(spec, params, x, mode="train")
-        expected = backward(spec, params, cache, "weighted_ce", y).flat
+        expected = backward(spec, params, cache, y).flat
         _, cache = forward(spec, params, x, mode="train")
         params.weights[0] = params.weights[0].view(NoTranspose)
-        grads = backward(spec, params, cache, "weighted_ce", y)
+        grads = backward(spec, params, cache, y)
         np.testing.assert_array_equal(grads.flat, expected)
 
     @pytest.mark.parametrize("layers,loss_kind", [
@@ -259,9 +278,9 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(10, 6))
         target = np.array([1, 2, 3] * 3 + [1]) if loss_kind == "weighted_ce" else x
         _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
-        backward(spec, params, cache, loss_kind, target)
+        backward(spec, params, cache, target)
         with pytest.raises(CacheMismatch, match="consumed"):
-            backward(spec, params, cache, loss_kind, target)
+            backward(spec, params, cache, target)
 
     def test_mse_target_batch_left_untouched(self):
         # an autoencoder's target is its own batch, the first layer's input
@@ -270,7 +289,7 @@ class TestBackward:
         before = x.tobytes()
         params = init_params(spec, seed=0)
         _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
-        backward(spec, params, cache, "mse", x)
+        backward(spec, params, cache, x)
         assert x.tobytes() == before
 
 
@@ -281,7 +300,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(10, 6))
         t = rng.normal(size=(10, 4))
-        assert gradient_check(spec, params, x, "mse", t, seed=0) < 1e-7
+        assert gradient_check(spec, params, x, t, seed=0) < 1e-7
 
     def test_three_layer_relu_weighted_ce(self):
         spec = NetworkSpec(
@@ -293,14 +312,14 @@ class TestGradientCheck:
         x = rng.normal(size=(16, 8))
         y = rng.integers(1, 5, size=16)
         w = np.array([2.0, 0.5, 1.0, 3.0])
-        assert gradient_check(spec, params, x, "weighted_ce", y, w, seed=1) < 1e-5
+        assert gradient_check(spec, params, x, y, w, seed=1) < 1e-5
 
     def test_active_dropout_with_replayed_masks(self):
         spec = NetworkSpec((Dense(5, 8, "relu"), Dropout(0.4), Dense(8, 5, "linear")))
         params = init_params(spec, seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 5))
-        assert gradient_check(spec, params, x, "mse", x, seed=2) < 1e-5
+        assert gradient_check(spec, params, x, x, seed=2) < 1e-5
 
     def test_leading_dropout_and_linear_hidden_layer(self):
         spec = NetworkSpec(
@@ -312,7 +331,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(14, 6))
         y = rng.integers(1, 4, size=14)
-        assert gradient_check(spec, params, x, "weighted_ce", y, seed=3) < 1e-5
+        assert gradient_check(spec, params, x, y, seed=3) < 1e-5
 
     def test_relu_output_layer_with_mse(self):
         # the output's relu mask must be read before the loss gradient is
@@ -322,7 +341,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(12, 5))
         t = rng.normal(size=(12, 6))
-        assert gradient_check(spec, params, x, "mse", t, seed=4) < 1e-5
+        assert gradient_check(spec, params, x, t, seed=4) < 1e-5
 
     def test_corrupted_gradient_detected(self):
         spec = NetworkSpec((Dense(4, 6, "relu"), Dense(6, 3, "softmax")))
@@ -331,7 +350,7 @@ class TestGradientCheck:
         x = rng.normal(size=(10, 4))
         y = rng.integers(1, 4, size=10)
         _, cache = forward(spec, params, x, mode="train", dropout_seed=9)
-        grads = backward(spec, params, cache, "weighted_ce", y)
+        grads = backward(spec, params, cache, y)
 
         # recompute the checker's comparison with a corrupted analytic gradient
         # at the middle entry of each weight matrix and bias vector
@@ -342,9 +361,9 @@ class TestGradientCheck:
             i = start + (stop - start) // 2
             original = params.flat[i]
             params.flat[i] = original + h
-            plus = total_loss(spec, params, x, "weighted_ce", y, dropout_seed=9)
+            plus = total_loss(spec, params, x, y, dropout_seed=9)
             params.flat[i] = original - h
-            minus = total_loss(spec, params, x, "weighted_ce", y, dropout_seed=9)
+            minus = total_loss(spec, params, x, y, dropout_seed=9)
             params.flat[i] = original
             numeric = (plus - minus) / (2 * h)
             bad = corrupted[i]
@@ -371,7 +390,7 @@ class TestMemoryBudget:
 
         def step():
             _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
-            backward(spec, params, cache, "weighted_ce", y)
+            backward(spec, params, cache, y)
 
         assert traced_peak(step) <= 5 * x.nbytes
 
@@ -380,7 +399,7 @@ class TestMemoryBudget:
 
         def step():
             _, cache = forward(spec, params, x, mode="train", dropout_seed=1)
-            backward(spec, params, cache, "weighted_ce", y)
+            backward(spec, params, cache, y)
 
         assert traced_peak(step) <= 3 * x.nbytes
 
@@ -391,7 +410,7 @@ class TestMemoryBudget:
 
         def step():
             _, cache = forward(spec, params, x, mode="train")
-            backward(spec, params, cache, "mse", x)
+            backward(spec, params, cache, x)
 
         assert traced_peak(step) <= 4.2 * x.nbytes
 
@@ -611,6 +630,6 @@ class TestGoldenTrajectory:
         spec = NetworkSpec(
             (Dense(12, 8, "relu"), Dropout(0.25), Dense(8, 3, "softmax")), l2_penalty=1e-2
         )
-        err = gradient_check(spec, init_params(spec, seed=4), x[:30], "weighted_ce", y[:30],
+        err = gradient_check(spec, init_params(spec, seed=4), x[:30], y[:30],
                              n_coords=50, seed=1)
         assert err.hex() == "0x1.279c420771561p-25"
