@@ -1,9 +1,12 @@
 """The artifact file layer every pipeline stage writes and reads through.
 
-Files are written atomically. Feature matrices and models are a JSON manifest
-line (UTF-8, newline terminated), then a blob of little-endian typed sections;
-the work dir's keyed files frame their manifest with its sha256 in that line.
-JSON artifacts are checked against a ``json_fits`` shape.
+Files are written atomically. Every binary artifact (a feature matrix, a
+model, a work-dir cache, ``lineage.json``) is a keyed file: one JSON head
+line that holds the format name, a sha256 and the manifest's fields, then
+the manifest's sections as little-endian typed values (see
+:func:`save_keyed`). A reader takes nothing from a keyed file until its
+layout, key, field shapes, length and sha256 check. JSON artifacts are
+checked against a ``json_fits`` shape.
 """
 
 from __future__ import annotations
@@ -35,28 +38,6 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def save_blob(path: str | Path, manifest: dict, sections) -> None:
-    """Write the manifest line, then each ``(dtype, array)`` section's values
-    row-major as that little-endian ``dtype``."""
-    with atomic_write(path, "wb") as fh:
-        fh.write(json.dumps(manifest).encode("utf-8") + b"\n")
-        for dtype, a in sections:
-            # a byte view of the array itself, so the data is not copied
-            fh.write(memoryview(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8)))
-
-
-def read_manifest(fh, path: str | Path, formats: tuple[str, ...], kind: str) -> dict:
-    """The manifest line of the blob file open as ``fh``; DataError if it does
-    not parse (a cut or corrupt file) or names none of ``formats``."""
-    try:
-        manifest = json.loads(fh.readline())
-    except ValueError:
-        raise DataError(f"{path}: unreadable {kind} manifest") from None
-    if not isinstance(manifest, dict) or manifest.get("format") not in formats:
-        raise DataError(f"{path}: not a {kind} file")
-    return manifest
 
 
 def json_fits(value, shape) -> bool:
@@ -109,9 +90,10 @@ def load_json_artifact(path: str | Path, kind: str, fields: dict) -> dict:
 
 
 def read_arrays(fh, path: str | Path, sections) -> list[np.ndarray]:
-    """The rest of the blob file open as ``fh``, read straight into one
-    writable flat array per ``(dtype, count)`` section; DataError if its
-    length differs from the sections' total (a cut or padded file)."""
+    """The rest of the file open as ``fh``, read straight into one writable
+    flat array per ``(dtype, count)`` section; DataError if its length
+    differs from the sections' total (a cut or padded file), checked before
+    any array is allocated."""
     expected = sum(np.dtype(dtype).itemsize * count for dtype, count in sections)
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != expected:
@@ -133,15 +115,17 @@ def file_sha256(path: str | Path) -> str:
 
 
 # the layout of every keyed file: a head line that is one JSON object of this
-# name, the sha256 and the manifest, then the manifest's sections
-KEYED_FORMAT = "sevpred-keyed-1"
+# format name, the sha256, then the manifest's own fields, and after it the
+# manifest's sections
+KEYED_FORMAT = "sevpred-keyed-2"
 _HEAD = f'{{"format":"{KEYED_FORMAT}","sha256":"'.encode("utf-8")
-_BODY = len(_HEAD) + 64 + len('","manifest":')  # where the manifest's JSON starts
+_FIRST_FIELD = len(_HEAD) + 64 + len('",')  # where the manifest's first field starts
 
 
 def _head(sha256: bytes, body: bytes) -> bytes:
-    """A keyed file's head line around the hex ``sha256`` and the manifest's JSON ``body``."""
-    return _HEAD + sha256 + b'","manifest":' + body + b"}\n"
+    """A keyed file's head line: the hex ``sha256``, then the fields of the
+    manifest's JSON object ``body``."""
+    return _HEAD + sha256 + b'",' + body[1:] + b"\n"
 
 
 def _digest(body: bytes, arrays) -> bytes:
@@ -153,35 +137,42 @@ def _digest(body: bytes, arrays) -> bytes:
 
 
 def save_keyed(path: str | Path, key: dict, fields: dict, sections) -> None:
-    """Write each ``(dtype, array)`` section under ``key``, the JSON of what
-    decided the data: the head line holds the manifest ``{"key": key,
-    **fields}`` as compact JSON and the sha256 of those bytes and the data,
-    then come the sections. With no sections the file is one JSON text."""
+    """Write each ``(dtype, array)`` section, row-major, under ``key``, the
+    JSON of what decided the data (``{}`` for an artifact that is its own
+    input). The manifest is ``{"key": key, **fields}`` as compact JSON; the
+    head line is ``{"format": KEYED_FORMAT, "sha256": ..., "key": key,
+    **fields}``, the sha256 taken over the manifest's bytes, then the data.
+    No field is named "format" or "sha256". With no sections the file is
+    one JSON text."""
     arrays = [np.ascontiguousarray(a, dtype=dtype).reshape(-1) for dtype, a in sections]
     body = json.dumps({"key": key, **fields}, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(_head(_digest(body, arrays), body))
         for a in arrays:
+            # a byte view of the array itself, so the data is not copied
             fh.write(memoryview(a.view(np.uint8)))
 
 
 def load_keyed(path: str | Path, key: dict, kind: str, shape: dict, sections) -> tuple[dict, list[np.ndarray]]:
     """The manifest and flat arrays that :func:`save_keyed` wrote to
-    ``path`` under ``key``; DataError if the file is cut or corrupt, is of
-    another layout or key, has a field that does not fit the ``json_fits``
-    ``shape``, or fails its sha256, taken over the bytes as they were read.
-    ``sections(manifest)`` gives the ``(dtype, count)`` sections."""
+    ``path`` under ``key``; DataError, naming ``path``, if the file is cut,
+    padded or corrupt, is of another layout or key, has a field that does not
+    fit the ``json_fits`` ``shape``, or fails its sha256, taken over the bytes
+    as they were read. ``sections(manifest)`` gives the ``(dtype, count)``
+    sections; it may raise DataError for a manifest whose fields disagree."""
     with open(path, "rb") as fh:
         line = fh.readline()
-        sha256, body = line[len(_HEAD):len(_HEAD) + 64], line[_BODY:-2]
+        sha256, body = line[len(_HEAD):len(_HEAD) + 64], b"{" + line[_FIRST_FIELD:-1]
         if line != _head(sha256, body):
             raise DataError(f"{path}: not a keyed {kind} file")
         try:
             manifest = json.loads(body)
         except ValueError:
             raise DataError(f"{path}: unreadable {kind} manifest") from None
-        if not (json_fits(manifest, shape) and manifest.get("key") == key):
+        if manifest.get("key") != key:
             raise DataError(f"{path}: not a {kind} saved under this key")
+        if not json_fits(manifest, shape):
+            raise DataError(f"{path}: malformed {kind} manifest")
         arrays = read_arrays(fh, path, sections(manifest))
     if _digest(body, arrays) != sha256:
         raise DataError(f"{path}: {kind} does not match its sha256")

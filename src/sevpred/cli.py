@@ -301,7 +301,7 @@ def _package_digest() -> str:
     digest = hashlib.sha256()
     for path in sorted(package.rglob("*.py")):
         digest.update(f"{path.relative_to(package)}\0".encode("utf-8"))
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        digest.update(bytes.fromhex(file_sha256(path)))
     return digest.hexdigest()
 
 
@@ -744,7 +744,6 @@ def stage_predict(work: WorkDir) -> dict:
     _write_csv_rows(work.write("predictions.csv"), ["row", "severity_pred"], rows)
     return {
         "n_rows": table.n_rows,
-        "n_dropped_missing_target": table.n_dropped,
         "output": str(Path(work["work_dir"], "predictions.csv")),  # a setting read, so the record holds it
         "meta": _meta("predict"),
     }

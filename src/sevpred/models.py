@@ -290,6 +290,8 @@ def train_classifier(
     With ``class_weights=None`` or ``use_class_weights=False`` the loss runs
     unweighted (the ablation configuration). History records per-epoch train
     loss, validation accuracy, and validation BER, plus ``best_epoch``.
+    ``EmptyInput`` if either set has no rows, since neither the training
+    loss nor the validation BER has a mean then.
     """
     train_x = _feature_values(train_x)
     val_x = _feature_values(val_x)
@@ -297,7 +299,9 @@ def train_classifier(
     val_y = np.asarray(val_y, dtype=np.int64)
     if train_x.shape[1] != val_x.shape[1]:
         raise WidthMismatch(f"train width {train_x.shape[1]} != val width {val_x.shape[1]}")
-    for name, y in (("train", train_y), ("val", val_y)):
+    for name, x, y in (("train", train_x, train_y), ("val", val_x, val_y)):
+        if x.shape[0] == 0:
+            raise EmptyInput(f"the {name} set has no rows to train a classifier on")
         if ((y < 1) | (y > n_classes)).any():
             raise LabelOutOfRange(f"{name} labels must lie in 1..{n_classes}")
 

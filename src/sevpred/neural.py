@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_fits, read_arrays, read_manifest, save_blob
+from .artifacts import json_fits, load_keyed, save_keyed
 from .errors import (
     CacheMismatch,
     DataError,
@@ -451,11 +451,9 @@ def gradient_check(
 
 # -- model files ---------------------------------------------------------------
 #
-# The manifest holds spec and meta; the blob is ``Parameters.flat``: each dense
-# layer's weight matrix (row-major) then its bias vector, in layer order.
-
-MODEL_FORMAT = "sevpred-model-1"
-
+# A model file is a keyed file under the empty key: its manifest holds spec
+# and meta, and its one section is ``Parameters.flat``: each dense layer's
+# weight matrix (row-major) then its bias vector, in layer order.
 
 # a layer type's name in a model file -> its class and its fields' shapes
 _LAYER_FIELDS = {
@@ -493,16 +491,19 @@ def spec_from_dict(obj) -> NetworkSpec:
 
 
 def save_model(path: str | Path, spec: NetworkSpec, params: Parameters, meta: dict | None = None) -> None:
-    manifest = {"format": MODEL_FORMAT, "spec": spec_to_dict(spec), "meta": meta or {}}
-    save_blob(path, manifest, [("<f8", params.flat)])
+    save_keyed(path, {}, {"spec": spec_to_dict(spec), "meta": meta or {}}, [("<f8", params.flat)])
 
 
 def load_model(path: str | Path) -> tuple[NetworkSpec, Parameters, dict]:
-    with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, (MODEL_FORMAT,), "model")
+    """The spec, parameters and meta :func:`save_model` wrote to ``path``;
+    DataError if ``load_keyed`` refuses the file or its spec is malformed."""
+    def read_spec(manifest: dict) -> NetworkSpec:
         try:
-            spec = spec_from_dict(manifest.get("spec"))
+            return spec_from_dict(manifest.get("spec"))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-        (flat,) = read_arrays(fh, path, [("<f8", spec.layout[-1][1])])
-    return spec, Parameters(flat, spec.layout), manifest.get("meta", {})
+
+    manifest, (flat,) = load_keyed(path, {}, "model", {"meta": dict},
+                                   lambda m: [("<f8", read_spec(m).layout[-1][1])])
+    spec = read_spec(manifest)
+    return spec, Parameters(flat, spec.layout), manifest["meta"]

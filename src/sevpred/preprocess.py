@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write, json_fits, load_json_artifact, read_arrays, read_manifest, save_blob
+from .artifacts import atomic_write, load_json_artifact, load_keyed, save_keyed
 from .dataset import ColumnKind, Table, largest_remainder_counts
 from .errors import DataError, DimensionMismatch, EmptyInput, UnknownColumn
 from .rng import SEEDS, make_rng
@@ -269,54 +269,47 @@ def stratified_split(targets, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitInd
 
 # -- file formats -------------------------------------------------------------
 #
-# A dense feature-matrix file's blob holds the n x d values, row-major. A
-# compact file's manifest adds the ``blocks`` layout, and its blob holds the
-# float64 numeric block, then the int32 codes, each row-major.
+# A feature-matrix file is a keyed file under the empty key: its manifest
+# holds ``n``, ``d``, the ``blocks`` layout and the column labels, and its
+# sections are the float64 numeric block, then the int32 codes, each
+# row-major.
 
-FMX_DENSE, FMX_COMPACT = "sevpred-fmx-1", "sevpred-fmx-2"
+FMX_FIELDS = {"n": range(2**63), "d": int, "blocks": [{"kind": str, "width": range(2**63)}], "labels": [str]}
 
 
 def save_feature_matrix(path: str | Path, fm: FeatureMatrix) -> None:
-    """Write ``fm`` in the compact format if it has one-hot blocks, else in
-    the dense one."""
-    compact = bool(fm.codes.shape[1])
-    manifest = {
-        "format": FMX_COMPACT if compact else FMX_DENSE,
+    fields = {
         "n": fm.n,
         "d": fm.d,
-        "dtype": "float64",
-        "byte_order": "little",
+        "blocks": [{"kind": kind, "width": width} for kind, width in fm.blocks],
+        "labels": list(fm.column_labels),
     }
-    if compact:
-        manifest["blocks"] = [{"kind": kind, "width": width} for kind, width in fm.blocks]
-    manifest["labels"] = list(fm.column_labels)
-    save_blob(path, manifest, [("<f8", fm.numeric), ("<i4", fm.codes)])
+    save_keyed(path, {}, fields, [("<f8", fm.numeric), ("<i4", fm.codes)])
+
+
+def _fmx_shapes(path: str | Path, manifest: dict) -> list[tuple[int, int]]:
+    """The shapes of the numeric block and of the codes that a feature-matrix
+    ``manifest`` implies; DataError if a block's kind is not in BLOCK_KINDS,
+    or the widths or the labels do not number ``d``."""
+    blocks, d = manifest["blocks"], manifest["d"]
+    if not (all(b["kind"] in BLOCK_KINDS for b in blocks)
+            and sum(b["width"] for b in blocks) == d == len(manifest["labels"])):
+        raise DataError(f"{path}: feature-matrix blocks need a kind among {BLOCK_KINDS} "
+                        "and widths that sum to d, the number of labels")
+    one_hot = [b["width"] for b in blocks if b["kind"] == "one_hot"]
+    return [(manifest["n"], d - sum(one_hot)), (manifest["n"], len(one_hot))]
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        manifest = read_manifest(fh, path, (FMX_DENSE, FMX_COMPACT), "feature-matrix")
-        if not (json_fits(manifest, {"n": int, "d": int, "labels": [str]})
-                and manifest["n"] >= 0 and len(manifest["labels"]) == manifest["d"]
-                and manifest.get("dtype") == "float64" and manifest.get("byte_order") == "little"):
-            raise DataError(f"{path}: feature-matrix manifest needs int n >= 0, d string labels, "
-                            "dtype float64 and byte_order little")
-        n, d = manifest["n"], manifest["d"]
-        if manifest["format"] == FMX_DENSE:
-            blocks = (("numeric", d),)
-        elif (json_fits(manifest, {"blocks": [{"kind": str, "width": int}]})
-              and all(b["kind"] in BLOCK_KINDS and b["width"] >= 0 for b in manifest["blocks"])
-              and sum(b["width"] for b in manifest["blocks"]) == d):
-            blocks = tuple((b["kind"], b["width"]) for b in manifest["blocks"])
-        else:
-            raise DataError(f"{path}: feature-matrix blocks need a kind among {BLOCK_KINDS} "
-                            "and widths >= 0 that sum to d")
-        one_hot = [width for kind, width in blocks if kind == "one_hot"]
-        width = d - sum(one_hot)
-        numeric, codes = read_arrays(fh, path, [("<f8", n * width), ("<i4", n * len(one_hot))])
+    """The matrix :func:`save_feature_matrix` wrote to ``path``; DataError if
+    ``load_keyed`` or ``_fmx_shapes`` refuses the file, or it holds a
+    non-finite value or a code outside its block."""
+    manifest, arrays = load_keyed(path, {}, "feature-matrix", FMX_FIELDS, lambda m: [
+        (dtype, rows * cols) for dtype, (rows, cols) in zip(("<f8", "<i4"), _fmx_shapes(path, m))])
+    numeric, codes = (a.reshape(shape) for a, shape in zip(arrays, _fmx_shapes(path, manifest)))
+    blocks = tuple((b["kind"], b["width"]) for b in manifest["blocks"])
     try:
-        return FeatureMatrix(numeric.reshape(n, width), tuple(manifest["labels"]),
-                             codes.reshape(n, len(one_hot)), blocks)
+        return FeatureMatrix(numeric, tuple(manifest["labels"]), codes, blocks)
     except DataError as exc:  # a non-finite value or a code outside its block
         raise DataError(f"{path}: {exc}") from None
 

@@ -20,6 +20,7 @@ from sevpred.preprocess import (
     save_feature_matrix,
     save_preprocessor,
 )
+from tests.conftest import reseal
 
 
 def write_fmx(path):
@@ -113,13 +114,23 @@ class TestKeyedFile:
             [(np.dtype(dtype), np.asarray(a, dtype).tobytes()) for dtype, a in SECTIONS[layout]]
 
     def test_without_sections_is_one_json_text(self, tmp_path):
-        """The head line is the whole file, and its sha256 is that of the
-        manifest's compact JSON bytes."""
+        """The head line is the whole file: the format, the sha256 of the
+        manifest's compact JSON bytes, then the manifest's own fields."""
         whole = save_layout(tmp_path / "file", "none")
         body = json.dumps({"key": KEY, **FIELDS}, separators=(",", ":")).encode("utf-8")
         assert json.loads(whole) == {"format": KEYED_FORMAT, "sha256": hashlib.sha256(body).hexdigest(),
-                                     "manifest": {"key": KEY, **FIELDS}}
-        assert whole.endswith(body + b"}\n")
+                                     "key": KEY, **FIELDS}
+        assert whole.endswith(b"," + body[1:] + b"\n")
+
+    @pytest.mark.parametrize("layout", sorted(SECTIONS))
+    def test_reseal_rewrites_the_same_bytes(self, tmp_path, layout):
+        """The tests' ``reseal`` writes what ``save_keyed`` writes, so an
+        edit it reseals reaches the checks past the sha256."""
+        path = tmp_path / "file"
+        whole = save_layout(path, layout)
+        head, data = whole.split(b"\n", 1)
+        reseal(path, json.loads(head), data)
+        assert path.read_bytes() == whole
 
     @pytest.mark.parametrize("layout", sorted(SECTIONS))
     def test_other_key_is_data_error(self, tmp_path, layout):
@@ -224,6 +235,32 @@ def test_file_layer_stays_apart_from_the_dataset():
     imports = {path.stem: package_imports(path) for path in Path(sevpred.__file__).parent.glob("*.py")}
     assert imports["artifacts"] == {"errors"}
     assert "dataset" not in imports["neural"]
+
+
+def _binary_file_calls(path: Path) -> list[str]:
+    """``name:line`` of each call in the module at ``path`` that opens a file
+    in a binary mode: ``open`` or ``atomic_write`` given a mode string with
+    a "b", or a whole-file bytes call such as ``read_bytes``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        modes = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        if (name in ("open", "atomic_write") and any("b" in m and set(m) <= set("rwxab+t") for m in modes)) \
+                or name in ("read_bytes", "write_bytes", "fromfile", "tofile"):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_file_layer_opens_binary_files():
+    """Every binary artifact goes through artifacts.py, whose keyed files
+    check their layout, length and sha256 before a reader sees a byte: no
+    other module opens a file in a binary mode."""
+    modules = sorted(Path(sevpred.__file__).parent.glob("*.py"))
+    assert _binary_file_calls(Path(sevpred.__file__).parent / "artifacts.py")
+    assert [call for path in modules if path.name != "artifacts.py" for call in _binary_file_calls(path)] == []
 
 
 def _is_inputs(node) -> bool:

@@ -17,7 +17,7 @@ from sevpred import Dense, Dropout, FeatureMatrix, NetworkSpec, cli, encode, ini
 from sevpred.cli import DEFAULTS, main
 from sevpred.preprocess import load_feature_matrix, save_feature_matrix
 from sevpred.rng import derive_seed
-from tests.conftest import make_small_table, strip_meta, write_workspace
+from tests.conftest import make_small_table, reseal, strip_meta, write_workspace
 
 
 def run(csv_workspace, *args):
@@ -236,16 +236,15 @@ class TestPreprocessTrainChain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
 
-    # n * d still matches the data section where the edit allows it, so the
-    # manifest check, not the length check, has to catch the edit
+    # the file is resealed, so its sha256 holds, and n * d still matches the
+    # data section where the edit allows it: the manifest check, not the
+    # digest or the length check, has to catch the edit
     @pytest.mark.parametrize("edit", [
         lambda m: {"labels": 5},
         lambda m: {"n": -m["n"], "d": -m["d"]},
         lambda m: {"d": float(m["d"])},
         lambda m: {"n": "2"},
-        lambda m: {"dtype": "float32"},
-        lambda m: {"byte_order": "big"},
-    ], ids=["labels-int", "negative-shape", "float-d", "string-n", "float32-dtype", "big-endian"])
+    ], ids=["labels-int", "negative-shape", "float-d", "string-n"])
     def test_malformed_fmx_manifest_exit_2(self, csv_workspace, capsys, edit):
         for cmd in ("associate", "preprocess"):
             assert run_cmd(csv_workspace, cmd) == 0
@@ -253,13 +252,13 @@ class TestPreprocessTrainChain:
         head, blob = fmx.read_bytes().split(b"\n", 1)
         manifest = json.loads(head)
         manifest.update(edit(manifest))
-        fmx.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + blob)
+        reseal(fmx, manifest, blob)
         capsys.readouterr()
         assert run_cmd(csv_workspace, "train") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
         assert "features.fmx" in err["error"]["message"]
-        assert "2222" not in err["error"]["message"]
+        assert "2222" not in err["error"]["message"] and "sha256" not in err["error"]["message"]
 
     # the last code column is the last one-hot block's, and its last row the
     # blob's last four bytes
@@ -277,14 +276,13 @@ class TestPreprocessTrainChain:
         fmx = csv_workspace / "out" / "features.fmx"
         head, blob = fmx.read_bytes().split(b"\n", 1)
         manifest = json.loads(head)
-        assert manifest["format"] == "sevpred-fmx-2" and manifest["blocks"][-1]["kind"] == "one_hot"
-        blob = edit(manifest, blob)[-1]
-        fmx.write_bytes(json.dumps(manifest).encode("utf-8") + b"\n" + blob)
+        assert manifest["blocks"][-1]["kind"] == "one_hot"
+        reseal(fmx, manifest, edit(manifest, blob)[-1])
         capsys.readouterr()
         assert run_cmd(csv_workspace, "train") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
-        assert "features.fmx" in err["error"]["message"]
+        assert "features.fmx" in err["error"]["message"] and "sha256" not in err["error"]["message"]
 
     def test_repeated_selected_column_exit_2(self, csv_workspace, capsys):
         assert run_cmd(csv_workspace, "associate") == 0
@@ -370,12 +368,12 @@ class TestPreprocessTrainChain:
         line, blob = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(line)
         edit(manifest)
-        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        reseal(path, manifest, blob)
         capsys.readouterr()
         assert run_cmd(csv_workspace, "predict", "--set", f"predict.model={path}") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DataError"
-        assert str(path) in err["error"]["message"]
+        assert str(path) in err["error"]["message"] and "sha256" not in err["error"]["message"]
 
     @pytest.mark.parametrize("command", ["train", "train-ae", "grid"])
     @pytest.mark.parametrize("index", [99999, -1])
@@ -1152,18 +1150,18 @@ class TestGoldenArtifacts:
     assemble; a change to any parsed cell, imputed value, selected feature,
     split or matrix entry fails here.
 
-    "features.fmx" is the digest of the matrix saved densely (rebuilt from
-    the compact file with ``FeatureMatrix(values, labels)``), which pins every
-    matrix entry; "features.fmx compact" pins the bytes ``preprocess``
-    writes."""
+    "features.fmx" is the digest of the matrix saved as one numeric block
+    (rebuilt from the compact file with ``FeatureMatrix(values, labels)``),
+    which pins every matrix entry; "features.fmx compact" pins the bytes
+    ``preprocess`` writes."""
 
     DIGESTS = {
         "stats.json": "c4732ec8c884d95ca3288ec9c9195be1698d21eef438611579d6562f88a7a463",
         "selection.json": "d61cc61883d8b87dcdbfc384c703ee4212a758db16b537139457b1f70191bd3b",
         "targets.json": "f375931663041447450fa6cd55bf018ae757f4360c68e8bee294e5965373937b",
         "association_matrix.csv": "006f10dce91e4e174fa4a853c4c851aa6386f7da48c135688bfe3287eb0db83f",
-        "features.fmx": "ac96750f2ed6b301cdba95c098f4282cb7fd98729a8de537f998be38608e70c4",
-        "features.fmx compact": "2836b56e8d5eccc42ec4b9a569d23886cb3906656ee8316e0d6aee4d9cb69061",
+        "features.fmx": "81521327902b9b111c36052f719a5ca3a1cc4438d74a149686077134d7e60d64",
+        "features.fmx compact": "ccbcc0a08fa5564538cac35f628f8b1f7bc6de3c62f32b084b5b1fda826d803c",
         "splits.json": "d438f345f5f0a6bae5ba3745377dd3c782f65f0b2e0bfe62d9ed4c4766fe5dfd",
         "preprocessor.json": "81d726dbaa42cc6d1682aea1d6f0d840bb684de8594903c655999402da1aaf9f",
     }
@@ -1227,7 +1225,7 @@ class TestGoldenTrainingArtifacts:
         "grid:grid_report.csv": "2ea0e4b83e7b0213b411bae274420289a703b5e2e63f9e7cac58def67ac1210b",
         "grid:grid_report.json": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
         "grid:stdout": "db0ebc459f5477d933a7ff220ebc7306d83778179511464fb64b9ad65a3ee201",
-        "pipeline:classifier_encoded.model": "0147f9dd42870798841579ee2283d5608187ff66ee829ccbf3a9882503e2ab99",
+        "pipeline:classifier_encoded.model": "959ffa80773721cd474eff3bd91d932c5616085465412e2be5d4240c29614234",
         "pipeline:cv_report_encoded.csv": "230c6d13d7e3424f10c41d8bafadde72ef23ae3af30d7a947ef3d2b880273889",
         "pipeline:cv_report_encoded.json": "37f2dd71d17ec4db063a404fb3392e377ef97b143ab0c5dbd5cd31be697e9904",
         "pipeline:history_encoded.json": "e2c3c8d93380c064db1956d0c0c928a546f6e9eb9a177d4fcc33373c276e5157",
@@ -1235,12 +1233,12 @@ class TestGoldenTrainingArtifacts:
         "pipeline:stdout": "f7a08b75c30c2378537dff4e106c5aa1e75be17098910910065dff2e75fe064b",
         "pipeline:test_metrics_encoded.json": "427e0c4e101b965ba8f281619cc8633e00fbe7d9c88b9ed2e1254bbd41f9cb7a",
         "predict:predictions.csv": "4a2ca75b6e20eef2316ec530445d6fe7f473a170df57dd86d5d5edc81b99573a",
-        "predict:stdout": "3983763ab7e6cf3dd69ece13ac0d19bbccdae622abcda1e1ea7785b4b24083cd",
+        "predict:stdout": "b2e314097121391067e6cf7cd774b3dec25dc7ac942897168d817b4f6bd57def",
         "train-ae:ae_history.json": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
-        "train-ae:autoencoder.model": "e06c169586f4a21fd0062d5ae224dd3a8e50117e61744f0a2c3aadbce8c1423f",
-        "train-ae:latent.fmx": "9edde41aa86a77a3074b835e1d045ea7b7dbf925d099a976e12cc3bb81745288",
+        "train-ae:autoencoder.model": "6728449d8d78ff18733a4ebe108520532bf49784db30f7c782a4151bee194d02",
+        "train-ae:latent.fmx": "02cbbcabed8bdd98599c71706028cda1a25be5a5e87bac14de12c793f97c5f0c",
         "train-ae:stdout": "7bb3029d769f6d286ce793ccc547dc2f8a766070dc22243d32a526e1dc723cdf",
-        "train:classifier.model": "acec892277ec5c37eadbd08a2b7cfc570cd995dab920a96ae4592a519f04938a",
+        "train:classifier.model": "3364cfa710cb8799fc5ece41fd5c502233c6f5b7c9261eb357738a51e7a0b41f",
         "train:history.json": "e67e0fb3df568b7b0e65f0a8b08e2516362d0c966eaa057f8e8707f730191f33",
         "train:stdout": "1d827100406d1a879fe18a646c73e25efd1dd76540012560ce042051cd3bc6dd",
         "train:test_metrics.json": "1d827100406d1a879fe18a646c73e25efd1dd76540012560ce042051cd3bc6dd",
@@ -1330,6 +1328,7 @@ class TestSetTypeProperty:
 # autoencoder before the classifier, which this workspace lacks
 TRUNCATED_READS = {
     "features.fmx": ("train",),
+    "latent.fmx": ("train", "--set", "use_encoder=true"),
     "classifier.model": ("predict",),
     "autoencoder.model": ("predict", "--set", "use_encoder=true"),
     "selection.json": ("preprocess",),
@@ -1371,6 +1370,33 @@ class TestTruncationProperty:
             path.write_bytes(whole)
         assert code == 2
         assert json.loads(err.getvalue().strip().splitlines()[-1])["error"]["type"] == "DataError"
+
+
+class TestFlippedBinaryArtifact:
+    """One flipped byte anywhere in a feature matrix or a model, in its head
+    line or its data, makes the stage that reads it exit 2 with a JSON
+    DataError naming the file: the sha256 catches what no shape or range
+    check can, such as a weight's sign or a standardized value."""
+
+    @pytest.mark.parametrize("part", ["head", "data"])
+    @pytest.mark.parametrize("name", sorted(n for n in TRUNCATED_READS if not n.endswith(".json")))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_exits_2(self, trained_workspace, name, part, data):
+        path = trained_workspace / "out" / name
+        whole = path.read_bytes()
+        head_end = whole.index(b"\n")
+        start, end = (0, head_end) if part == "head" else (head_end + 1, len(whole))
+        err = io.StringIO()
+        try:
+            path.write_bytes(flipped(data, whole[:end], start) + whole[end:])
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cmd(trained_workspace, *TRUNCATED_READS[name])
+        finally:
+            path.write_bytes(whole)
+        assert code == 2
+        error = json.loads(err.getvalue().strip().splitlines()[-1])["error"]
+        assert error["type"] == "DataError" and name in error["message"]
 
 
 @pytest.fixture(scope="module")

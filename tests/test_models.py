@@ -302,6 +302,16 @@ class TestTrainClassifier:
         with pytest.raises(WidthMismatch, match="3 class weights for 4 classes"):
             train_classifier(cfg, x[:400], y4[:400], x[400:], y4[400:], ClassWeights(np.ones(3)), n_classes=4)
 
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_set_refused(self, empty):
+        """Without class weights nothing else sees the rows: neither the
+        training loss nor the validation BER has a mean over none."""
+        x, y = separable_data(seed=13)
+        cfg = ClassifierConfig(initial_neurons=8, epochs=2, batch_size=64, seed=0)
+        sets = {"train": (x[:400], y[:400]), "val": (x[400:], y[400:]), empty: (x[:0], y[:0])}
+        with np.errstate(all="raise"), pytest.raises(EmptyInput, match=f"the {empty} set has no rows"):
+            train_classifier(cfg, *sets["train"], *sets["val"], None, n_classes=2)
+
     def test_non_finite_validation_names_its_epoch(self):
         """One batch per epoch: the first step is finite, and the update it
         makes at a learning rate of 1e308 overflows the validation pass."""

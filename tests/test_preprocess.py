@@ -348,9 +348,8 @@ class TestCompactMatchesDense:
             assert fm.values.tobytes() == expected.tobytes()
             save_feature_matrix(path, fm)
             back = load_feature_matrix(path)
-            # a matrix without one-hot blocks is saved dense: one numeric run
             assert back.column_labels == fm.column_labels
-            assert back.blocks == (fm.blocks if categorical else (("numeric", fm.d),))
+            assert back.blocks == fm.blocks
             assert back.values.tobytes() == expected.tobytes()
 
 
@@ -461,7 +460,6 @@ class TestFileFormats:
             manifest = json.loads(fh.readline())
             blob = fh.read()
         assert manifest["n"] == 2 and manifest["d"] == 2
-        assert manifest["byte_order"] == "little"
         assert len(blob) == 2 * 2 * 8
 
     def test_splits_round_trip(self, tmp_path):
